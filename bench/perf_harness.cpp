@@ -459,7 +459,7 @@ int main(int argc, char** argv) {
   ok = softsched::bench::write_socket_scenario(j, seed) && ok;
 
   // Two-tier persistent cache: cold-populate a disk tier, warm-restart a
-  // fresh engine over it, then serve through an injected disk outage (see
+  // fresh service over it, then serve through an injected disk outage (see
   // persist_scenario.h). Self-gating; fixed mix in quick and full mode.
   std::cerr << "perf_harness: persistent cache warm restart...\n";
   j.key("persist");

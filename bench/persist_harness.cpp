@@ -1,5 +1,5 @@
 // persist_harness - focused runner for the persistent-cache scenario:
-// cold-populate a disk tier, warm-restart a fresh engine over it (disk
+// cold-populate a disk tier, warm-restart a fresh service over it (disk
 // hits, recovery-scan time), then serve through an injected disk outage -
 // the same block perf_harness embeds into BENCH_softsched.json (see
 // bench/persist_scenario.h). The CI persist job runs it under the

@@ -6,7 +6,7 @@
 //               response payloads must match byte-for-byte (modulo `ms`);
 //   cold      - fresh cache directory, disk tier on: populates the store
 //               through the write-behind flusher;
-//   warm      - a *new* engine over the same directory (the warm-restart
+//   warm      - a *new* service over the same directory (the warm-restart
 //               shape: RAM tier empty, disk tier recovered by the open
 //               scan). Headline metrics: warm_restart_hit_rate (disk-tier
 //               hit rate - every unique key should come back from disk,
@@ -37,7 +37,7 @@
 #include <system_error>
 #include <vector>
 
-#include "serve/engine.h"
+#include "serve/daemon.h"
 #include "serve_scenario.h"
 #include "util/json.h"
 #include "util/thread_pool.h"
@@ -49,11 +49,10 @@ struct persist_run {
   double wall_ms = 0;
 };
 
-inline persist_run run_persist_mix(serve::engine& eng, const std::string& text) {
+inline persist_run run_persist_mix(serve::service& svc, const std::string& text) {
   persist_run out;
-  std::istringstream in(text);
   const auto t0 = std::chrono::steady_clock::now();
-  out.responses = eng.run_collect(in);
+  out.responses = run_serve_batch(svc, text);
   out.wall_ms = std::chrono::duration<double, std::milli>(
                     std::chrono::steady_clock::now() - t0)
                     .count();
@@ -94,19 +93,19 @@ inline bool write_persist_scenario(json_writer& j, std::uint64_t seed, unsigned 
   if (!dir_ok)
     std::cerr << "persist: cannot create cache directory " << dir << "\n";
 
-  serve::engine_options base;
+  serve::service_options base;
   base.jobs = static_cast<int>(jobs);
-  base.batch_size = 32;
+  base.queue_capacity = 32;
   base.emit_schedule = false;
   base.cache_dir = dir.string();
   base.disk_cache_bytes = disk_budget;
 
-  // Reference: the exact same engine configuration minus the disk tier.
-  serve::engine_options plain = base;
+  // Reference: the exact same service configuration minus the disk tier.
+  serve::service_options plain = base;
   plain.cache_dir.clear();
   plain.disk_cache_bytes = 0;
-  serve::engine reference_engine(plain);
-  const persist_run reference = run_persist_mix(reference_engine, text);
+  serve::service reference_service(plain);
+  const persist_run reference = run_persist_mix(reference_service, text);
 
   // Cold run: populate the store through write-behind, then flush so the
   // warm run sees every record.
@@ -114,38 +113,38 @@ inline bool write_persist_scenario(json_writer& j, std::uint64_t seed, unsigned 
   serve::disk_cache_counters cold_disk;
   bool cold_match = false;
   if (dir_ok) {
-    serve::engine eng(base);
-    cold = run_persist_mix(eng, text);
-    (void)eng.flush_disk();
-    cold_disk = eng.disk()->counters();
+    serve::service svc(base);
+    cold = run_persist_mix(svc, text);
+    (void)svc.flush_disk();
+    cold_disk = svc.disk()->counters();
     cold_match = same_payloads(reference.responses, cold.responses);
   }
 
-  // Warm restart: a brand-new engine (empty RAM tier) over the populated
+  // Warm restart: a brand-new service (empty RAM tier) over the populated
   // directory. The open scan recovers the index; every unique key should
   // be a disk hit, so nothing re-runs the scheduler.
   persist_run warm;
   serve::disk_cache_counters warm_disk;
   bool warm_match = false;
   if (dir_ok) {
-    serve::engine eng(base);
-    warm = run_persist_mix(eng, text);
-    warm_disk = eng.disk()->counters();
+    serve::service svc(base);
+    warm = run_persist_mix(svc, text);
+    warm_disk = svc.disk()->counters();
     warm_match = same_payloads(reference.responses, warm.responses);
   }
 
   // Degraded leg: first disk op reports an I/O error, flipping the tier to
-  // RAM-only. The engine must keep serving - zero request errors, payloads
+  // RAM-only. The service must keep serving - zero request errors, payloads
   // still identical - just without persistence.
   persist_run degraded;
   serve::disk_cache_counters degraded_disk;
   bool degraded_match = false;
   if (dir_ok) {
-    serve::engine_options outage = base;
-    outage.disk_faults.ops[1] = serve::disk_fault_action{0, true, false};
-    serve::engine eng(outage);
-    degraded = run_persist_mix(eng, text);
-    degraded_disk = eng.disk()->counters();
+    serve::service_options outage = base;
+    outage.faults.io.ops[1] = serve::disk_fault_action{0, true, false};
+    serve::service svc(outage);
+    degraded = run_persist_mix(svc, text);
+    degraded_disk = svc.disk()->counters();
     degraded_match = same_payloads(reference.responses, degraded.responses);
   }
   std::uint64_t degraded_errors = 0;

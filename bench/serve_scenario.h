@@ -1,9 +1,9 @@
 // serve_scenario.h - the shared "serve" benchmark scenario: a zipf-skewed
 // JSONL request mix over benchmark and seeded-random design families,
-// played against the batch scheduling engine twice - once against a cold
-// cache, once hot - recording requests/sec for both, the cold-run hit
-// rate, and whether the responses are identical across worker counts and
-// cache sizes.
+// played through the --serve-batch front end (serve::run_batch over one
+// serve::service) twice - once against a cold cache, once hot - recording
+// requests/sec for both, the cold-run hit rate, and whether the responses
+// are identical across worker counts and cache sizes.
 //
 // Included by both bench/perf_harness.cpp (which embeds the block into
 // BENCH_softsched.json) and bench/serve_harness.cpp (the standalone
@@ -27,7 +27,7 @@
 #include <string>
 #include <vector>
 
-#include "serve/engine.h"
+#include "serve/daemon.h"
 #include "util/json.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -83,17 +83,54 @@ inline std::vector<std::string> make_serve_mix(std::uint64_t seed, int count) {
   return lines;
 }
 
+/// The responses to one JSONL stream through the --serve-batch front end,
+/// in input order.
+inline std::vector<serve::response> run_serve_batch(serve::service& svc,
+                                                    const std::string& text) {
+  std::istringstream in(text);
+  std::vector<serve::response> out;
+  (void)serve::run_batch(
+      in, svc, [&](const serve::response& r, std::string_view) { out.push_back(r); });
+  return out;
+}
+
+/// One measured stream: wall time plus this stream's share of the
+/// service's cumulative counters.
 struct serve_run_outcome {
-  serve::stream_summary summary;
+  std::uint64_t requests = 0;
+  std::uint64_t errors = 0;
+  std::uint64_t computed = 0;
+  std::uint64_t reused = 0; ///< deduped + cache hits: served without scheduling
+  double wall_ms = 0;
   serve::cache_counters cache;
+
+  [[nodiscard]] double hit_rate() const noexcept {
+    const std::uint64_t served = requests - errors;
+    return served > 0 ? static_cast<double>(reused) / static_cast<double>(served) : 0.0;
+  }
+  [[nodiscard]] double requests_per_sec() const noexcept {
+    return wall_ms > 0 ? static_cast<double>(requests) / (wall_ms / 1e3) : 0.0;
+  }
 };
 
-inline serve_run_outcome run_serve_stream(serve::engine& eng, const std::string& text) {
+inline serve_run_outcome run_serve_stream(serve::service& svc, const std::string& text) {
+  const serve::service_stats before = svc.stats();
   std::istringstream in(text);
   std::ostringstream sink; // responses are part of the served work
   serve_run_outcome out;
-  out.summary = eng.run_stream(in, sink);
-  out.cache = eng.cache().counters();
+  const auto t0 = std::chrono::steady_clock::now();
+  out.requests =
+      serve::run_batch(in, svc, [&](const serve::response&, std::string_view line) {
+        sink << line << '\n';
+      });
+  out.wall_ms = std::chrono::duration<double, std::milli>(
+                    std::chrono::steady_clock::now() - t0)
+                    .count();
+  const serve::service_stats after = svc.stats();
+  out.errors = after.errors - before.errors;
+  out.computed = after.computed - before.computed;
+  out.reused = after.cache_hits + after.deduped - before.cache_hits - before.deduped;
+  out.cache = svc.cache().counters();
   return out;
 }
 
@@ -103,7 +140,7 @@ inline serve_run_outcome run_serve_stream(serve::engine& eng, const std::string&
 inline bool write_serve_scenario(json_writer& j, std::uint64_t seed, unsigned jobs = 0) {
   if (jobs == 0) jobs = thread_pool::hardware_workers();
   constexpr int request_count = 400;
-  constexpr std::size_t batch_size = 32;
+  constexpr std::size_t queue = 32; // the --serve-batch window
 
   const std::vector<std::string> lines = make_serve_mix(seed, request_count);
   std::string text;
@@ -112,9 +149,9 @@ inline bool write_serve_scenario(json_writer& j, std::uint64_t seed, unsigned jo
     text += '\n';
   }
 
-  serve::engine_options opt;
+  serve::service_options opt;
   opt.jobs = static_cast<int>(jobs);
-  opt.batch_size = batch_size;
+  opt.queue_capacity = queue;
   opt.emit_schedule = false; // throughput of the service, not of array printing
 
   // Determinism: responses must be identical payload-for-payload across
@@ -122,18 +159,17 @@ inline bool write_serve_scenario(json_writer& j, std::uint64_t seed, unsigned jo
   // anything, which forces recomputation instead of hits).
   bool deterministic = true;
   {
-    serve::engine_options serial = opt;
+    serve::service_options serial = opt;
     serial.jobs = 1;
-    serve::engine reference(serial);
-    serve::engine parallel_engine(opt);
-    serve::engine_options tiny = opt;
+    serve::service reference(serial);
+    serve::service parallel_service(opt);
+    serve::service_options tiny = opt;
     tiny.cache_bytes = 1 << 14;
-    serve::engine tiny_cache(tiny);
+    serve::service tiny_cache(tiny);
 
-    std::istringstream in_a(text), in_b(text), in_c(text);
-    const std::vector<serve::response> ref = reference.run_collect(in_a);
-    const std::vector<serve::response> par = parallel_engine.run_collect(in_b);
-    const std::vector<serve::response> tin = tiny_cache.run_collect(in_c);
+    const std::vector<serve::response> ref = run_serve_batch(reference, text);
+    const std::vector<serve::response> par = run_serve_batch(parallel_service, text);
+    const std::vector<serve::response> tin = run_serve_batch(tiny_cache, text);
     deterministic = ref.size() == par.size() && ref.size() == tin.size();
     for (std::size_t i = 0; deterministic && i < ref.size(); ++i)
       deterministic = ref[i].same_payload(par[i]) && ref[i].same_payload(tin[i]);
@@ -141,27 +177,27 @@ inline bool write_serve_scenario(json_writer& j, std::uint64_t seed, unsigned jo
       std::cerr << "serve: responses diverged across jobs/cache configurations\n";
   }
 
-  // The measured runs: one engine, cold stream then hot stream.
-  serve::engine eng(opt);
-  const serve_run_outcome cold = run_serve_stream(eng, text);
-  const serve_run_outcome hot = run_serve_stream(eng, text);
+  // The measured runs: one service, cold stream then hot stream.
+  serve::service svc(opt);
+  const serve_run_outcome cold = run_serve_stream(svc, text);
+  const serve_run_outcome hot = run_serve_stream(svc, text);
 
-  const double rps_cold = cold.summary.requests_per_sec();
-  const double rps_hot = hot.summary.requests_per_sec();
+  const double rps_cold = cold.requests_per_sec();
+  const double rps_hot = hot.requests_per_sec();
 
   j.begin_object();
   j.member("requests", static_cast<long long>(request_count));
   j.member("catalog", serve_catalog(seed).size());
-  j.member("batch", batch_size);
+  j.member("queue", queue);
   j.member("jobs", static_cast<unsigned long long>(jobs));
-  j.member("unique_scheduled", cold.summary.counters.computed);
-  j.member("cold_ms", cold.summary.wall_ms);
-  j.member("hot_ms", hot.summary.wall_ms);
+  j.member("unique_scheduled", cold.computed);
+  j.member("cold_ms", cold.wall_ms);
+  j.member("hot_ms", hot.wall_ms);
   j.member("requests_per_sec_cold", rps_cold);
   j.member("requests_per_sec_hot", rps_hot);
   j.member("speedup_hot_over_cold", rps_cold > 0 ? rps_hot / rps_cold : 0.0);
-  j.member("hit_rate", cold.summary.counters.hit_rate());
-  j.member("hit_rate_hot", hot.summary.counters.hit_rate());
+  j.member("hit_rate", cold.hit_rate());
+  j.member("hit_rate_hot", hot.hit_rate());
   j.member("deterministic", deterministic);
   j.key("cache");
   j.begin_object();

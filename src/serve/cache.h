@@ -1,4 +1,4 @@
-// cache.h - the sharded, byte-budgeted LRU schedule cache behind the batch
+// cache.h - the sharded, byte-budgeted LRU schedule cache behind the
 // scheduling service: content-addressed by ir::dfg_digest schedule keys
 // (canonical DFG digest + allocation + scheduler options), storing the
 // complete scheduling outcome so a repeated request never re-runs
@@ -10,10 +10,10 @@
 // never contend with each other. Counters are per shard and aggregated on
 // read.
 //
-// Determinism: lookup/insert order decides LRU state, so callers that need
-// reproducible hit patterns (the serve engine) serialize their cache
-// traffic; the striping exists for concurrent *readers/writers* that do
-// not need that property (docs/DESIGN.md §6).
+// Determinism: lookup/insert order decides LRU state and therefore hit
+// patterns, which the concurrent service does not reproduce across runs;
+// response payloads never depend on them, because a cached value equals
+// what the scheduler would recompute (docs/DESIGN.md §6).
 #pragma once
 
 #include <cstdint>

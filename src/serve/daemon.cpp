@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <istream>
 #include <map>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <thread>
@@ -30,8 +31,7 @@ void sleep_ms(double ms) {
     std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(ms));
 }
 
-/// Same bounds as the engine's source memo (engine.h): the memo is a
-/// recognition shortcut, not the capacity story.
+/// Source-memo entry bound (the byte bound follows the cache budget).
 constexpr std::size_t memo_entry_limit = 1 << 16;
 
 unsigned parse_fault_index(std::string_view text, std::string_view rule) {
@@ -232,6 +232,13 @@ void service::drain() {
   std::unique_lock<std::mutex> lock(drain_mutex_);
   drained_.wait(lock,
                 [&] { return completed_.load(std::memory_order_acquire) >= target; });
+}
+
+void service::wait_for_room() {
+  std::unique_lock<std::mutex> lock(drain_mutex_);
+  drained_.wait(lock, [&] {
+    return queue_depth_.load(std::memory_order_acquire) < options_.queue_capacity;
+  });
 }
 
 std::size_t service::flush_disk() { return disk_ != nullptr ? disk_->flush() : 0; }
@@ -657,6 +664,93 @@ daemon_summary run_daemon(std::istream& in, std::ostream& out,
   summary.stats = svc.stats();
   summary.conns = snapshot(counters);
   return summary;
+}
+
+namespace {
+
+/// run_batch's reorder buffer. Response i is serialized by the thread
+/// that completes it, then waits in slot i % size until every earlier one
+/// is written; whichever thread completes the next response in input
+/// order hands it and every ready one behind it to the sink - under the
+/// lock, since sink calls must stay in order - so the reader never wakes
+/// per response. At most `size` responses are unwritten at a time, so no
+/// two live ones share a slot.
+class batch_window {
+public:
+  batch_window(std::size_t size, bool emit_schedule, const response_sink& sink)
+      : slots_(size), emit_schedule_(emit_schedule), sink_(sink) {}
+
+  [[nodiscard]] std::size_t size() const noexcept { return slots_.size(); }
+
+  void put(std::uint64_t index, response r) {
+    // Serialized outside the lock, into a per-thread stream: constructing
+    // an ostringstream per response would cost more than the JSON itself.
+    thread_local std::ostringstream buffer;
+    buffer.str(std::string());
+    write_response_line(buffer, r, emit_schedule_);
+    std::string line = std::move(buffer).str();
+    const std::lock_guard<std::mutex> lock(mutex_);
+    slots_[index % slots_.size()].emplace(std::move(r), std::move(line));
+    for (;;) {
+      std::optional<std::pair<response, std::string>>& next =
+          slots_[written_ % slots_.size()];
+      if (!next.has_value()) break;
+      sink_(next->first, next->second);
+      next.reset();
+      ++written_;
+    }
+    // Notified under the lock: once woken, the reader may return and
+    // destroy this window before a notify outside it would finish.
+    if (written_ >= resume_at_) room_.notify_one();
+  }
+
+  /// Blocks until `count` responses are written; returns how many are.
+  std::uint64_t wait_written(std::uint64_t count) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    resume_at_ = count;
+    room_.wait(lock, [&] { return written_ >= count; });
+    resume_at_ = no_waiter;
+    return written_;
+  }
+
+private:
+  static constexpr std::uint64_t no_waiter = ~std::uint64_t{0};
+
+  std::mutex mutex_;
+  std::condition_variable room_;
+  std::vector<std::optional<std::pair<response, std::string>>> slots_;
+  bool emit_schedule_;
+  const response_sink& sink_;
+  std::uint64_t written_ = 0;
+  std::uint64_t resume_at_ = no_waiter;
+};
+
+} // namespace
+
+std::uint64_t run_batch(std::istream& in, service& svc, const response_sink& sink) {
+  batch_window window(svc.options().queue_capacity, svc.options().emit_schedule, sink);
+  std::uint64_t submitted = 0;
+  std::uint64_t written = 0; // as of the last wait: a lower bound
+  try {
+    std::string text;
+    std::uint64_t line = 0;
+    while (std::getline(in, text)) {
+      ++line;
+      if (text.empty()) continue;
+      if (submitted - written >= window.size()) // full: wait until half drained
+        written = window.wait_written(submitted - window.size() / 2);
+      svc.wait_for_room();
+      const std::uint64_t index = submitted++;
+      if (!svc.submit(line, std::move(text),
+                      [&window, index](response r) { window.put(index, std::move(r)); }))
+        window.put(index, svc.overloaded_response(line)); // a shared service shed it
+    }
+    (void)window.wait_written(submitted);
+  } catch (...) {
+    svc.drain(); // no callback may outlive the window it writes into
+    throw;
+  }
+  return submitted;
 }
 
 } // namespace softsched::serve

@@ -1,9 +1,8 @@
-// daemon.h - the resident scheduling service behind `softsched_cli --serve`
-// (ROADMAP item 1): the batch engine's pipeline reshaped for a long-lived
-// process where tail latency under overload, not warm-cache throughput, is
-// the headline number.
+// daemon.h - the resident scheduling service and its two front ends. There
+// is one request pipeline in the repository, service::process; the batch
+// CLI and the daemon are thin adapters over it, so they cannot drift apart.
 //
-// Two layers:
+// Three layers:
 //
 //   * `service` - the transport-free core. submit() runs admission control
 //     (a bounded queue; at capacity the request is shed immediately with
@@ -13,20 +12,26 @@
 //     requests coalesce onto one computation via a shared future - the
 //     follower receives the leader's result directly, so it stays correct
 //     even when the cache rejected the value as oversize) -> sharded
-//     schedule cache -> scheduler backend. Responses stream back through a
-//     per-request callback as they complete; drain() blocks until every
-//     admitted request has responded. Live counters and a lock-light
-//     latency histogram (serve/metrics.h) feed stats().
+//     schedule cache -> disk tier -> scheduler backend. Responses stream
+//     back through a per-request callback as they complete; drain() blocks
+//     until every admitted request has responded. Live counters and a
+//     lock-light latency histogram (serve/metrics.h) feed stats().
 //
-//   * `run_daemon` - the framed front-end: reads `<count>\n<payload>\n`
-//     frames (serve/transport.h) from a stream, sniffs control ops
-//     ({"op":"stats"} / {"op":"shutdown"}), submits everything else to the
-//     service, and writes response frames either as they complete
-//     (streaming, the default) or in input order behind a reorder buffer
-//     (--serve-ordered: byte-identical payloads to --serve-batch, the PR-4
-//     determinism contract). EOF, shutdown and transport errors all end in
-//     the same graceful drain: every admitted request gets its response
-//     before the daemon returns.
+//   * `run_batch` - the JSONL front end (--serve-batch): one request per
+//     input line, submitted under its line number, answered in input order
+//     through a reorder buffer. It keeps at most queue_capacity requests
+//     submitted-but-unwritten, so neither the service queue nor the buffer
+//     grows with the input, and on a service it does not share no request
+//     is ever shed.
+//
+//   * `run_daemon` - the framed front end (--serve): reads
+//     `<count>\n<payload>\n` frames (serve/transport.h) from a stream,
+//     sniffs control ops ({"op":"stats"} / {"op":"shutdown"}), submits
+//     everything else to the service, and writes response frames either as
+//     they complete (streaming, the default) or in input order
+//     (--serve-ordered: byte-identical payloads to --serve-batch). EOF,
+//     shutdown and transport errors all end in the same graceful drain:
+//     every admitted request gets its response before the daemon returns.
 //
 // Fault injection: a fault_plan (usually parsed from the SOFTSCHED_INJECT
 // environment knob) deterministically delays or fails chosen *worker
@@ -132,9 +137,9 @@ struct service_options {
   std::size_t disk_cache_bytes = 0;
   std::size_t disk_flush_queue = 256; ///< write-behind bound (>= 1)
 
-  // Per-worker scheduling arenas (docs/DESIGN.md §8), same semantics as
-  // engine_options: off = the cross-validated heap baseline; the mode can
-  // never change a response byte.
+  // Per-worker scheduling arenas (docs/DESIGN.md §8): off = the
+  // cross-validated heap baseline; the mode can never change a response
+  // byte, only allocation traffic and `ms`.
   bool arena = true;
   std::size_t arena_block_bytes = 0; ///< 0 = util::arena::default_block_bytes
 };
@@ -172,6 +177,12 @@ public:
   /// returned). Safe to call concurrently with submit(): requests admitted
   /// after drain() begins are *not* waited for.
   void drain();
+
+  /// Blocks until the queue holds fewer than queue_capacity admitted
+  /// requests. A caller that is the service's only submitter is then
+  /// guaranteed its next submit() is admitted (run_batch relies on this;
+  /// a completion callback returns before its request leaves the queue).
+  void wait_for_room();
 
   /// Drains the disk tier's write-behind queue; returns how many records
   /// this call flushed (0 when the disk tier is off). The daemon calls
@@ -233,9 +244,10 @@ private:
   mutable std::mutex drain_mutex_;
   std::condition_variable drained_;
 
-  // Source-signature -> source_info memo (the engine's memo, made
-  // thread-safe): each distinct design is hashed once. Same bounds as the
-  // engine: entry count and bytes, wiped when either trips.
+  // Source-signature -> source_info memo: each distinct design is hashed
+  // once, then recognized by signature. Bounded by entry count and bytes
+  // (signatures embed raw .dfg text), wiped when either trips - the
+  // schedule cache, not the memo, is the capacity story.
   std::mutex memo_mutex_;
   std::unordered_map<std::string, source_info> source_memo_;
   std::size_t source_memo_bytes_ = 0;
@@ -255,8 +267,8 @@ private:
 /// exclusively by serve/options.h, so CLI and tests share one error path.
 struct daemon_options {
   service_options service;
-  bool ordered = false; ///< input-order responses (PR-4 determinism contract)
-                        ///< instead of streaming-as-completed
+  bool ordered = false; ///< input-order responses instead of
+                        ///< streaming-as-completed
   frame_limits limits;
   std::size_t max_connections = 64; ///< socket front-ends: accepted-but-open
                                     ///< bound; beyond it connections shed
@@ -320,5 +332,21 @@ struct daemon_summary {
 /// docs/SERVING.md §"Wire protocol".
 daemon_summary run_daemon(std::istream& in, std::ostream& out,
                           const daemon_options& options = {});
+
+/// Receives each batch response with its JSONL line (write_response_line
+/// under the service's emit_schedule; no newline), one at a time, in input
+/// order. Calls come from the service's worker threads, never
+/// concurrently; must not throw.
+using response_sink = std::function<void(const response&, std::string_view line)>;
+
+/// The JSONL batch front end (--serve-batch): reads one request per line
+/// (blank lines skipped), submits each to `svc` with its 1-based physical
+/// line number as `seq` - so `line`, the default `"line<N>"` id and
+/// fault-injection slots follow the input file - and hands the responses
+/// to `sink` in input order. A new line is admitted only while fewer than
+/// queue_capacity requests are submitted but not yet written. Returns the
+/// number of requests submitted, after every one has been handed to the
+/// sink.
+std::uint64_t run_batch(std::istream& in, service& svc, const response_sink& sink);
 
 } // namespace softsched::serve

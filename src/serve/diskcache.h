@@ -14,7 +14,7 @@
 //   * any real I/O failure (open/read/write/fsync error, the directory
 //     vanishing mid-run) flips the cache into *degraded* mode: the disk
 //     tier goes inert (lookups miss instantly, writes are dropped), the
-//     io_errors/degraded counters record it, and the engine keeps serving
+//     io_errors/degraded counters record it, and the service keeps serving
 //     from RAM. Nothing on this path ever throws into the serving loop.
 //
 // On-disk format: one file per record, named `<32-hex-key>.rec` inside the

@@ -1,63 +1,31 @@
-// engine.h - the batch scheduling request engine: JSONL requests in, JSONL
-// responses out, backed by the canonical-hash schedule cache and the
-// work-stealing thread pool.
+// engine.h - the per-request scheduling pipeline's building blocks: build +
+// canonically hash a request's design, derive its schedule-cache key, run
+// its backend in canonical space, map the result back into the requester's
+// own vertex numbering, and serialize the response. The resident service
+// (serve/daemon.h) composes them into parse -> memoized hash -> key ->
+// in-flight dedup -> RAM/disk cache -> backend -> publish; both of its
+// front ends (--serve-batch and --serve) therefore speak the same bytes.
 //
-// Pipeline per batch (docs/DESIGN.md §6):
-//
-//   parse -> sign -> hash (parallel, memoized) -> key -> dedup in-flight
-//         -> consult cache (serial) -> schedule misses (parallel)
-//         -> publish to cache (serial) -> respond in input order
-//
-// Determinism contract: every response payload is a pure function of its
-// request - identical for any worker count and any cache size. Three
-// design rules enforce it: (1) scheduling jobs are share-nothing and write
-// pre-allocated slots (the DSE pattern); (2) all cache traffic and
-// memo/dedup bookkeeping happen serially, in input order, between the
-// parallel phases; (3) responses never carry hit/miss state - caching is
-// observable only through the engine/cache counters, so a cold run, a hot
-// run and an evicting tiny-cache run emit byte-identical payloads (only
-// the `ms` latency field varies).
+// Determinism contract (docs/DESIGN.md §6): every response payload is a
+// pure function of its request - identical for any worker count, cache
+// size or disk tier. Two rules enforce it: (1) scheduling is share-nothing
+// (each worker brings its own run_context) and happens in canonical space,
+// so a cached result is a pure function of its key; (2) responses never
+// carry hit/miss state - caching is observable only through the service
+// counters, so a cold run, a hot run and an evicting tiny-cache run emit
+// byte-identical payloads (only the `ms` latency field varies).
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
-#include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "sched/run_context.h"
 #include "serve/cache.h"
-#include "serve/diskcache.h"
 #include "serve/request.h"
-#include "util/json.h"
-#include "util/thread_pool.h"
 
 namespace softsched::serve {
-
-struct engine_options {
-  int jobs = 0;                            ///< worker threads; < 1 = hardware_workers()
-  std::size_t cache_bytes = 64ull << 20;   ///< schedule-cache byte budget
-  unsigned cache_shards = 16;
-  std::size_t batch_size = 64;             ///< requests per dispatch wave; 0 = whole stream
-  bool emit_schedule = true;               ///< include start/unit arrays in JSONL output
-
-  // Per-worker scheduling arenas (docs/DESIGN.md §8). Off = the heap
-  // baseline the nightly storm cross-validates against; the mode cannot
-  // change a single response byte, only allocation traffic and `ms`.
-  bool arena = true;
-  std::size_t arena_block_bytes = 0; ///< 0 = util::arena::default_block_bytes
-
-  // Persistent tier (docs/SERVING.md "Persistence"): enabled iff cache_dir
-  // is non-empty and disk_cache_bytes > 0. Because caching is never
-  // observable in response payloads, turning the disk tier on or off
-  // cannot change a single output byte - only the hit counters and `ms`.
-  std::string cache_dir;
-  std::size_t disk_cache_bytes = 0;
-  std::size_t disk_flush_queue = 256; ///< write-behind bound (>= 1)
-  disk_fault_plan disk_faults;        ///< io=<n> injection (serve/daemon.h grammar)
-};
 
 /// One response. `same_payload` ignores only the latency field - the
 /// equality the determinism tests and the --jobs/cache-size acceptance
@@ -80,8 +48,7 @@ struct response {
 
 /// Serializes one response as a single-line JSON object (no trailing
 /// newline). With emit_schedule off, the start/unit arrays are omitted.
-/// Shared by the batch engine and the resident daemon so both speak the
-/// exact same payload bytes (the input-order parity criterion).
+/// The one serializer behind every front end and transport.
 void write_response_line(std::ostream& out, const response& r, bool emit_schedule);
 
 /// Canonical identity of one request's *design source*: the digest behind
@@ -107,7 +74,7 @@ struct source_info {
 
 /// Runs the request's scheduler backend in canonical space, staging all
 /// per-run state in `ctx`. Share-nothing as long as each thread brings its
-/// own context (the engine keeps one per worker). Throws on internal
+/// own context (the service keeps one per worker). Throws on internal
 /// failure (unreachable once the source built).
 [[nodiscard]] schedule_result compute_canonical_schedule(
     const request& req, const std::vector<std::uint32_t>& canonical_of,
@@ -121,112 +88,5 @@ struct source_info {
 /// Canonical-indexed result -> the requester's own vertex numbering.
 [[nodiscard]] schedule_result result_to_source_order(
     const schedule_result& canonical, const std::vector<std::uint32_t>& canonical_of);
-
-/// Cumulative request dispositions (every request lands in exactly one of
-/// computed / deduped / cache_hits / parse_errors).
-struct engine_counters {
-  std::uint64_t requests = 0;
-  std::uint64_t parse_errors = 0; ///< also build errors (bad benchmark, cyclic dfg)
-  std::uint64_t computed = 0;     ///< ran Algorithm 1
-  std::uint64_t deduped = 0;      ///< coalesced onto an identical in-flight request
-  std::uint64_t cache_hits = 0;   ///< served from the schedule cache
-
-  /// Requests served without running the scheduler / all well-formed
-  /// requests - the headline `hit_rate` the perf harness reports and CI
-  /// gates.
-  [[nodiscard]] double hit_rate() const noexcept;
-
-  /// Field-complete per-stream delta (run_stream subtracts the engine's
-  /// cumulative counters before/after).
-  [[nodiscard]] engine_counters operator-(const engine_counters& rhs) const noexcept;
-};
-
-/// Per-run_stream accounting (counters are the delta for that stream).
-struct stream_summary {
-  engine_counters counters;
-  std::size_t batches = 0;
-  double wall_ms = 0;
-
-  [[nodiscard]] double requests_per_sec() const noexcept;
-};
-
-/// One raw JSONL input line.
-struct batch_line {
-  std::size_t line = 0; ///< 1-based
-  std::string text;
-};
-
-class engine {
-public:
-  explicit engine(const engine_options& options = {});
-  ~engine();
-
-  engine(const engine&) = delete;
-  engine& operator=(const engine&) = delete;
-
-  /// Runs one batch of raw request lines through the full pipeline and
-  /// returns responses in input order.
-  [[nodiscard]] std::vector<response> run_batch(const std::vector<batch_line>& lines);
-
-  /// Reads JSONL from `in` in batch_size waves, returning all responses
-  /// (tests and the bench harness compare these across configurations).
-  /// Blank lines are skipped.
-  [[nodiscard]] std::vector<response> run_collect(std::istream& in);
-
-  /// run_collect + JSONL serialization to `out`, one response per line.
-  stream_summary run_stream(std::istream& in, std::ostream& out);
-
-  /// Serializes one response as a single-line JSON object (no trailing
-  /// newline). With emit_schedule off, the start/unit arrays are omitted.
-  void write_response(std::ostream& out, const response& r) const;
-
-  [[nodiscard]] unsigned jobs() const noexcept { return jobs_; }
-  [[nodiscard]] const engine_options& options() const noexcept { return options_; }
-  [[nodiscard]] const engine_counters& counters() const noexcept { return counters_; }
-  [[nodiscard]] schedule_cache& cache() noexcept { return cache_; }
-  /// The persistent tier, or nullptr when not configured.
-  [[nodiscard]] disk_cache* disk() noexcept { return disk_.get(); }
-
-  /// Drains the disk tier's write-behind queue; returns how many records
-  /// this call flushed (0 when the disk tier is off). The destructor also
-  /// flushes, so calling this is only needed to *observe* the count.
-  std::size_t flush_disk();
-
-private:
-  /// Memo value: the source_info of one distinct design source.
-  using memo_entry = source_info;
-
-  /// The one JSONL read loop (line numbering, blank-line skip, batch_size
-  /// waves) behind run_collect and run_stream; returns the batch count.
-  std::size_t drain_stream(std::istream& in,
-                           const std::function<void(std::vector<response>)>& sink);
-
-  /// The calling thread's run_context: pool worker i owns contexts_[i],
-  /// every other thread (jobs_ == 1, or the submitting thread between
-  /// waves) owns the extra slot contexts_[jobs_]. Lock-free because a
-  /// context is only ever touched by the one thread that owns its slot.
-  [[nodiscard]] sched::run_context& context_for_current_thread() noexcept;
-
-  engine_options options_;
-  unsigned jobs_ = 1;
-  schedule_cache cache_;
-  std::unique_ptr<disk_cache> disk_; ///< null when the persistent tier is off
-  std::unique_ptr<thread_pool> pool_; ///< null when jobs_ == 1
-  /// jobs_ + 1 per-worker scheduling contexts (see context_for_current_thread).
-  std::vector<std::unique_ptr<sched::run_context>> contexts_;
-  engine_counters counters_;
-
-  // Source-signature -> canonical digest memo: the hot path hashes each
-  // distinct design once, then recognizes it by signature. Bounded by
-  // entry count AND bytes (signatures embed raw .dfg text and the
-  // canonical_of maps scale with design size, so a stream of distinct
-  // large inline designs must not grow memory past the operator's cache
-  // budget); wiped when either bound trips - the schedule cache, not the
-  // memo, is the capacity story.
-  std::unordered_map<std::string, memo_entry> source_memo_;
-  std::size_t source_memo_bytes_ = 0;
-  static constexpr std::size_t source_memo_limit = 1 << 16;
-  [[nodiscard]] std::size_t source_memo_byte_budget() const noexcept;
-};
 
 } // namespace softsched::serve

@@ -22,7 +22,6 @@ void validate_serve_flags(const serve_flags& flags) {
   (void)parse_arena_flag(flags.arena); // throws on a malformed value
   SOFTSCHED_EXPECT(flags.cache_mb >= 0, "--cache-mb must be >= 0");
   SOFTSCHED_EXPECT(flags.disk_cache_mb >= 0, "--disk-cache-mb must be >= 0");
-  SOFTSCHED_EXPECT(flags.serve_batch_size >= 0, "--serve-batch-size must be >= 0");
   SOFTSCHED_EXPECT(flags.serve_queue >= 1, "--serve-queue must be >= 1");
   SOFTSCHED_EXPECT(flags.max_conns >= 1, "--max-conns must be >= 1");
   (void)listen_spec::parse(flags.listen); // throws on a malformed spec
@@ -31,24 +30,6 @@ void validate_serve_flags(const serve_flags& flags) {
 listen_spec listen_from_flags(const serve_flags& flags) {
   validate_serve_flags(flags);
   return listen_spec::parse(flags.listen);
-}
-
-engine_options engine_options_from_flags(const serve_flags& flags) {
-  validate_serve_flags(flags);
-  engine_options opt;
-  opt.jobs = flags.jobs;
-  opt.cache_bytes = static_cast<std::size_t>(flags.cache_mb) << 20;
-  opt.batch_size = static_cast<std::size_t>(flags.serve_batch_size);
-  opt.emit_schedule = !flags.serve_compact;
-  opt.cache_dir = flags.cache_dir;
-  opt.disk_cache_bytes = static_cast<std::size_t>(flags.disk_cache_mb) << 20;
-  // Only the io= family applies to the batch engine (slot/shard/conn
-  // target the daemon); it is consumed exclusively by the disk tier.
-  opt.disk_faults = fault_plan::from_env().io;
-  const arena_flag arena = parse_arena_flag(flags.arena);
-  opt.arena = arena.enabled;
-  opt.arena_block_bytes = arena.block_bytes;
-  return opt;
 }
 
 daemon_options daemon_options_from_flags(const serve_flags& flags) {

@@ -1,18 +1,15 @@
 // options.h - the one place the serving flag surface is parsed and
-// validated. The CLI grew three copies of "turn serve flags into an
-// options struct, each with its own range checks" (batch engine, stdio
-// daemon, and now socket daemon); this header collapses them: the CLI
-// fills a serve_flags with raw flag values and everything downstream -
-// engine_options, daemon_options, the listen spec - is derived here,
-// behind a single validation/error path (validate_serve_flags) shared by
-// the CLI and the tests that pin its error messages. New transport flags
-// land here once, not once per mode.
+// validated. The CLI fills a serve_flags with raw flag values and
+// everything downstream - daemon_options (whose service part also backs
+// --serve-batch) and the listen spec - is derived here, behind a single
+// validation/error path (validate_serve_flags) shared by the CLI and the
+// tests that pin its error messages. New transport flags land here once,
+// not once per mode.
 #pragma once
 
 #include <string>
 
 #include "serve/daemon.h"
-#include "serve/engine.h"
 #include "serve/socket.h"
 
 namespace softsched::serve {
@@ -22,8 +19,7 @@ namespace softsched::serve {
 struct serve_flags {
   int jobs = 0;               ///< --jobs (0 = hardware)
   int cache_mb = 64;          ///< --cache-mb
-  int serve_batch_size = 64;  ///< --serve-batch-size (batch engine only)
-  int serve_queue = 256;      ///< --serve-queue (daemon only)
+  int serve_queue = 256;      ///< --serve-queue (also the --serve-batch window)
   int disk_cache_mb = 0;      ///< --disk-cache-mb (0 = disk tier off)
   int max_conns = 64;         ///< --max-conns (socket transports only)
   bool serve_ordered = false; ///< --serve-ordered
@@ -54,13 +50,10 @@ void validate_serve_flags(const serve_flags& flags);
 /// --listen, parsed (and validated as part of validate_serve_flags).
 [[nodiscard]] listen_spec listen_from_flags(const serve_flags& flags);
 
-/// Batch-engine options (--serve-batch). SOFTSCHED_INJECT is consumed
-/// here: only its io= family applies to the batch engine.
-[[nodiscard]] engine_options engine_options_from_flags(const serve_flags& flags);
-
 /// Daemon options (--serve), transport-independent: service knobs,
-/// ordering, frame limits, the --max-conns bound. SOFTSCHED_INJECT is
-/// consumed here in full (slot/shard/io/conn).
+/// ordering, frame limits, the --max-conns bound. Its `service` part is
+/// also what --serve-batch runs on. SOFTSCHED_INJECT is consumed here in
+/// full (slot/shard/io/conn).
 [[nodiscard]] daemon_options daemon_options_from_flags(const serve_flags& flags);
 
 } // namespace softsched::serve

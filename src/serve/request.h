@@ -26,7 +26,7 @@ namespace softsched::serve {
 
 /// One parsed scheduling request.
 struct request {
-  std::string id;               ///< client echo token; engine defaults to "line<N>"
+  std::string id;               ///< client echo token; service defaults to "line<N>"
   explore::design_spec design;  ///< bench / random source (unused when dfg_text set)
   std::string dfg_text;         ///< inline .dfg format source (dfg_io)
   ir::resource_set resources{2, 2, 1};
@@ -42,7 +42,7 @@ struct request {
 
   /// Canonical description of the *design source* (not the allocation):
   /// two requests with equal source signatures build byte-identical DFGs.
-  /// The engine memoizes source signature -> canonical digest so the hot
+  /// The service memoizes source signature -> canonical digest so the hot
   /// path hashes each distinct design once, not once per request.
   [[nodiscard]] std::string source_signature() const;
 };

@@ -18,7 +18,7 @@
 
 #include "ir/benchmarks.h"
 #include "sched/backend.h"
-#include "serve/engine.h"
+#include "serve/daemon.h"
 #include "serve/options.h"
 #include "util/alloc_count.h"
 #include "util/arena.h"
@@ -182,16 +182,18 @@ TEST(AllocRegression, WarmedArenaContextBeatsHeapModeFivefold) {
 
 namespace {
 
-std::string serialized_modulo_ms(sv::engine& eng, const std::vector<std::string>& lines) {
+std::string serialized_modulo_ms(const sv::service_options& options,
+                                 const std::vector<std::string>& lines) {
   std::string text;
   for (const std::string& l : lines) text += l + "\n";
   std::istringstream in(text);
   std::ostringstream out;
-  for (sv::response r : eng.run_collect(in)) {
+  sv::service svc(options);
+  (void)sv::run_batch(in, svc, [&](sv::response r, std::string_view) {
     r.ms = 0; // the one field allowed to differ between configurations
-    eng.write_response(out, r);
+    sv::write_response_line(out, r, options.emit_schedule);
     out << '\n';
-  }
+  });
   return out.str();
 }
 
@@ -207,34 +209,31 @@ TEST(ServeParity, ArenaOnOffByteIdenticalAcrossJobsAndCaches) {
       R"({"id":"e","bench":"fir16","muls":3})",
       R"({"id":"f","bench":"iir4","mul_latency":1})",
   };
-  sv::engine_options serial;
+  sv::service_options serial;
   serial.jobs = 1;
   serial.arena = false; // the heap baseline is the reference
-  sv::engine reference(serial);
-  const std::string expected = serialized_modulo_ms(reference, lines);
+  const std::string expected = serialized_modulo_ms(serial, lines);
   ASSERT_FALSE(expected.empty());
 
   for (const int jobs : {1, 4, 8}) {
     for (const std::size_t cache_bytes : {std::size_t{0}, std::size_t{1} << 26}) {
       for (const bool arena : {true, false}) {
-        sv::engine_options opt;
+        sv::service_options opt;
         opt.jobs = jobs;
         opt.cache_bytes = cache_bytes;
         opt.arena = arena;
-        sv::engine eng(opt);
-        EXPECT_EQ(serialized_modulo_ms(eng, lines), expected)
+        EXPECT_EQ(serialized_modulo_ms(opt, lines), expected)
             << "jobs " << jobs << " cache " << cache_bytes << " arena " << arena;
       }
     }
   }
   // A pathologically small block size only changes how many blocks the
   // arena chains, never a byte of output.
-  sv::engine_options tiny;
+  sv::service_options tiny;
   tiny.jobs = 4;
   tiny.arena = true;
   tiny.arena_block_bytes = 256;
-  sv::engine eng(tiny);
-  EXPECT_EQ(serialized_modulo_ms(eng, lines), expected);
+  EXPECT_EQ(serialized_modulo_ms(tiny, lines), expected);
 }
 
 TEST(ServeParity, ArenaFlagGrammarRoundTrips) {

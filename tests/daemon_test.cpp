@@ -1,7 +1,8 @@
 // daemon_test.cpp - the resident scheduling daemon: frame codec round
 // trips and hostile-input rejection, the bounded-queue admission boundary,
-// streaming vs input-order response parity (and parity with the batch
-// engine), stats-counter consistency under concurrent clients, graceful
+// streaming vs input-order response parity (and parity with the
+// --serve-batch front end), the batch front end's bounded window,
+// stats-counter consistency under concurrent clients, graceful
 // drain, the lock-light latency histogram against a sorted-vector oracle,
 // the SOFTSCHED_INJECT fault plan (grammar + slot/shard/conn injection
 // semantics), the --listen/--serve flag surface (serve/options.h), and the
@@ -24,7 +25,6 @@
 #include <vector>
 
 #include "serve/daemon.h"
-#include "serve/engine.h"
 #include "serve/metrics.h"
 #include "serve/options.h"
 #include "serve/protocol.h"
@@ -597,7 +597,7 @@ TEST(ServeDaemon, OrderedAndStreamingModesAgreeOnPayloads) {
 }
 
 TEST(ServeDaemon, OrderedModeMatchesBatchEngineByteForByte) {
-  // The PR-4 determinism contract, engine edition: --serve --serve-ordered
+  // The determinism contract across front ends: --serve --serve-ordered
   // must be indistinguishable from --serve-batch modulo the ms field.
   const std::vector<std::string> lines = {
       R"({"id":"a","bench":"ewf"})",
@@ -607,19 +607,16 @@ TEST(ServeDaemon, OrderedModeMatchesBatchEngineByteForByte) {
       R"(not json)",
       R"({"id":"d","random":120,"seed":5})",
   };
-  sv::engine_options eopt;
-  eopt.jobs = 1;
-  sv::engine eng(eopt);
+  sv::service_options bopt;
+  bopt.jobs = 1;
+  sv::service batch(bopt);
   std::string jsonl;
   for (const std::string& l : lines) jsonl += l + "\n";
   std::istringstream batch_in(jsonl);
-  std::ostringstream batch_out;
-  (void)eng.run_stream(batch_in, batch_out);
   std::vector<std::string> batch_lines;
-  {
-    std::istringstream split(batch_out.str());
-    for (std::string l; std::getline(split, l);) batch_lines.push_back(strip_ms(l));
-  }
+  (void)sv::run_batch(batch_in, batch, [&](const sv::response&, std::string_view line) {
+    batch_lines.push_back(strip_ms(std::string(line)));
+  });
 
   std::istringstream daemon_in(framed(lines));
   std::ostringstream daemon_out;
@@ -633,6 +630,50 @@ TEST(ServeDaemon, OrderedModeMatchesBatchEngineByteForByte) {
   ASSERT_EQ(daemon_lines.size(), batch_lines.size());
   for (std::size_t i = 0; i < daemon_lines.size(); ++i)
     EXPECT_EQ(daemon_lines[i], batch_lines[i]) << "line " << i;
+}
+
+TEST(ServeBatch, WindowNeverShedsAndKeepsInputOrder) {
+  // A batch of three windows through four workers and a four-deep queue.
+  // run_batch admits a line only while fewer than queue_capacity requests
+  // are unwritten, so nothing is shed; the slot-0 delay makes every fourth
+  // line finish last, so the reorder buffer has real work to do; and the
+  // blank lines leave gaps in the line numbers that responses must keep.
+  sv::service_options opt;
+  opt.jobs = 4;
+  opt.queue_capacity = 4;
+  opt.faults = sv::fault_plan::parse("slot=0:delay_ms=3");
+  sv::service svc(opt);
+  std::string text;
+  std::vector<std::size_t> line_of; // physical line of each request
+  std::size_t line = 0;
+  for (std::size_t i = 0; i < 3 * opt.queue_capacity; ++i) {
+    if (i % 5 == 2) {
+      text += "\n";
+      ++line;
+    }
+    text += i % 4 == 3 ? std::string("garbage")
+                       : R"({"id":"r)" + std::to_string(i) +
+                             R"(","bench":"hal","alus":)" + std::to_string(1 + i % 3) + "}";
+    text += "\n";
+    line_of.push_back(++line);
+  }
+  std::istringstream in(text);
+  std::vector<sv::response> got;
+  const auto keep = [&](const sv::response& r, std::string_view) { got.push_back(r); };
+  EXPECT_EQ(sv::run_batch(in, svc, keep), line_of.size());
+
+  ASSERT_EQ(got.size(), line_of.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_NE(got[i].error, "overloaded") << "request " << i;
+    EXPECT_EQ(got[i].line, line_of[i]) << "request " << i;
+    const std::string id =
+        i % 4 == 3 ? "line" + std::to_string(line_of[i]) : "r" + std::to_string(i);
+    EXPECT_EQ(got[i].id, id);
+    EXPECT_EQ(got[i].error.empty(), i % 4 != 3) << got[i].error;
+  }
+  const sv::service_stats stats = svc.stats();
+  EXPECT_EQ(stats.overloaded, 0u);
+  EXPECT_LE(stats.peak_queue_depth, opt.queue_capacity);
 }
 
 TEST(ServeDaemon, StatsControlFrameReportsLiveCounters) {
@@ -812,6 +853,7 @@ TEST(ServeFlags, ValidationIsOneSharedErrorPath) {
 }
 
 TEST(ServeFlags, MapIntoEngineAndDaemonOptions) {
+  // One mapping serves both front ends: --serve-batch runs on d.service.
   sv::serve_flags f;
   f.jobs = 3;
   f.cache_mb = 8;
@@ -828,10 +870,6 @@ TEST(ServeFlags, MapIntoEngineAndDaemonOptions) {
   EXPECT_TRUE(d.ordered);
   EXPECT_EQ(d.max_connections, 5u);
   EXPECT_EQ(sv::listen_from_flags(f).path, "/tmp/softsched-flags.sock");
-  const sv::engine_options e = sv::engine_options_from_flags(f);
-  EXPECT_EQ(e.cache_bytes, 8u << 20);
-  EXPECT_FALSE(e.emit_schedule);
-  EXPECT_EQ(e.jobs, 3);
 }
 
 // -- conn= fault grammar ----------------------------------------------------

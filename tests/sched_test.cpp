@@ -28,7 +28,7 @@
 #include "ir/benchmarks.h"
 #include "ir/dfg_hash.h"
 #include "sched/backend.h"
-#include "serve/engine.h"
+#include "serve/daemon.h"
 #include "util/check.h"
 
 namespace ss = softsched::sched;
@@ -532,24 +532,28 @@ TEST(SchedIter, NeverWorseThanSoftAcrossTheNamedGrid) {
 
 namespace {
 
-std::vector<sv::response> collect(sv::engine& eng, const std::string& text) {
+/// One JSONL batch through the --serve-batch front end, in input order.
+std::vector<sv::response> collect(sv::service& svc, const std::string& text) {
   std::istringstream in(text);
-  return eng.run_collect(in);
+  std::vector<sv::response> out;
+  (void)sv::run_batch(in, svc,
+                      [&](const sv::response& r, std::string_view) { out.push_back(r); });
+  return out;
 }
 
 } // namespace
 
 TEST(SchedServe, IdenticalDesignsUnderDifferentBackendsGetDistinctKeys) {
-  sv::engine eng;
+  sv::service svc;
   const std::vector<sv::response> rs = collect(
-      eng, "{\"bench\":\"ewf\"}\n"
+      svc, "{\"bench\":\"ewf\"}\n"
            "{\"bench\":\"ewf\",\"backend\":\"soft\"}\n"
            "{\"bench\":\"ewf\",\"backend\":\"list\"}\n"
            "{\"bench\":\"ewf\",\"backend\":\"fds\"}\n"
            "{\"bench\":\"ewf\",\"backend\":\"list\",\"meta\":\"dfs\"}\n");
   ASSERT_EQ(rs.size(), 5u);
   for (const sv::response& r : rs) ASSERT_TRUE(r.error.empty()) << r.error;
-  // Default backend is soft: lines 1 and 2 share one key (and dedup).
+  // Default backend is soft: lines 1 and 2 share one key (one computation).
   EXPECT_EQ(rs[0].key, rs[1].key);
   EXPECT_EQ(rs[0].backend, "soft");
   // Distinct backends never share a cache entry.
@@ -574,9 +578,9 @@ TEST(SchedServe, BudgetSweepsAndMixedBatchesNeverCoalesceInTheCache) {
   // The widened-salt regression: a budget sweep against sdc-iter gets one
   // cache entry per budget, -1/default/explicit-8 share exactly one, and a
   // mixed-backend batch over one design keeps every backend distinct.
-  sv::engine eng;
+  sv::service svc;
   const std::vector<sv::response> rs = collect(
-      eng, "{\"bench\":\"hal\",\"backend\":\"sdc-iter\",\"iter_budget\":0}\n"
+      svc, "{\"bench\":\"hal\",\"backend\":\"sdc-iter\",\"iter_budget\":0}\n"
            "{\"bench\":\"hal\",\"backend\":\"sdc-iter\",\"iter_budget\":1}\n"
            "{\"bench\":\"hal\",\"backend\":\"sdc-iter\",\"iter_budget\":4}\n"
            "{\"bench\":\"hal\",\"backend\":\"sdc-iter\"}\n"
@@ -603,9 +607,9 @@ TEST(SchedServe, BudgetSweepsAndMixedBatchesNeverCoalesceInTheCache) {
 }
 
 TEST(SchedServe, IterBudgetOnAOneShotBackendIsAFieldLevelParseError) {
-  sv::engine eng;
+  sv::service svc;
   const std::vector<sv::response> rs = collect(
-      eng, "{\"bench\":\"ewf\",\"backend\":\"list\",\"iter_budget\":4}\n"
+      svc, "{\"bench\":\"ewf\",\"backend\":\"list\",\"iter_budget\":4}\n"
            "{\"bench\":\"ewf\",\"iter_budget\":4}\n"
            "{\"bench\":\"ewf\",\"backend\":\"sdc-iter\",\"iter_budget\":2000}\n"
            "{\"bench\":\"ewf\",\"backend\":\"sdc-iter\",\"iter_budget\":-1}\n");
@@ -622,9 +626,9 @@ TEST(SchedServe, IterBudgetOnAOneShotBackendIsAFieldLevelParseError) {
 }
 
 TEST(SchedServe, UnknownBackendIsAFieldLevelParseError) {
-  sv::engine eng;
+  sv::service svc;
   const std::vector<sv::response> rs =
-      collect(eng, "{\"bench\":\"ewf\",\"backend\":\"threaded\"}\n");
+      collect(svc, "{\"bench\":\"ewf\",\"backend\":\"threaded\"}\n");
   ASSERT_EQ(rs.size(), 1u);
   EXPECT_NE(rs[0].error.find("backend"), std::string::npos);
   EXPECT_NE(rs[0].error.find("threaded"), std::string::npos);
@@ -645,19 +649,19 @@ TEST(SchedServe, MixedBackendStreamDeterministicAcrossJobsAndCacheSizes) {
   text += "{\"bench\":\"ewf\",\"backend\":\"list\"}\n";
   text += "{\"bench\":\"ewf\",\"backend\":\"nope\"}\n";
 
-  sv::engine_options ref_opt;
+  sv::service_options ref_opt;
   ref_opt.jobs = 1;
-  sv::engine reference(ref_opt);
+  sv::service reference(ref_opt);
   const std::vector<sv::response> ref = collect(reference, text);
   ASSERT_EQ(ref.size(), 14u);
 
   for (const int jobs : {1, 4}) {
     for (const std::size_t cache_bytes : {std::size_t{0}, std::size_t{64} << 20}) {
-      sv::engine_options opt;
+      sv::service_options opt;
       opt.jobs = jobs;
       opt.cache_bytes = cache_bytes;
-      sv::engine eng(opt);
-      const std::vector<sv::response> got = collect(eng, text);
+      sv::service svc(opt);
+      const std::vector<sv::response> got = collect(svc, text);
       ASSERT_EQ(got.size(), ref.size());
       for (std::size_t i = 0; i < ref.size(); ++i)
         EXPECT_TRUE(ref[i].same_payload(got[i]))
@@ -669,7 +673,7 @@ TEST(SchedServe, MixedBackendStreamDeterministicAcrossJobsAndCacheSizes) {
   const std::vector<sv::response> hot = collect(reference, text);
   for (std::size_t i = 0; i < ref.size(); ++i)
     EXPECT_TRUE(ref[i].same_payload(hot[i])) << "hot line " << i + 1;
-  EXPECT_GT(reference.counters().cache_hits, 0u);
+  EXPECT_GT(reference.stats().cache_hits, 0u);
 }
 
 // -- explore ----------------------------------------------------------------

@@ -1,7 +1,8 @@
 // serve_test.cpp - the batch scheduling service: sharded LRU cache
 // (budget, eviction order, counters, concurrency), strict request parsing,
-// and the engine pipeline (in-flight dedup, cache hits, determinism across
-// worker counts and cache sizes, error routing, JSONL round trip).
+// and the request pipeline behind --serve-batch (service + run_batch:
+// cache hits, design unification, determinism across worker counts and
+// cache sizes, error routing, JSONL round trip).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,7 +14,7 @@
 #include "ir/benchmarks.h"
 #include "ir/dfg_io.h"
 #include "serve/cache.h"
-#include "serve/engine.h"
+#include "serve/daemon.h"
 #include "serve/request.h"
 #include "util/json_parse.h"
 #include "util/thread_pool.h"
@@ -39,11 +40,22 @@ sv::schedule_result result_of(long long latency, std::size_t pad = 0) {
   return r;
 }
 
-std::vector<sv::response> run_lines(sv::engine& eng, const std::vector<std::string>& lines) {
+/// One batch through the --serve-batch front end; responses in input order.
+std::vector<sv::response> run_lines(sv::service& svc,
+                                    const std::vector<std::string>& lines) {
   std::string text;
   for (const std::string& l : lines) text += l + "\n";
   std::istringstream in(text);
-  return eng.run_collect(in);
+  std::vector<sv::response> out;
+  (void)sv::run_batch(in, svc,
+                      [&](const sv::response& r, std::string_view) { out.push_back(r); });
+  return out;
+}
+
+sv::service_options serial_options() {
+  sv::service_options opt;
+  opt.jobs = 1; // one worker: requests run strictly in input order
+  return opt;
 }
 
 } // namespace
@@ -206,21 +218,22 @@ TEST(ServeRequest, SourceSignatureSeparatesDesignsAndLatency) {
   EXPECT_NE(a.source_signature(), d.source_signature());
 }
 
-// -- engine -----------------------------------------------------------------
+// -- service + run_batch ----------------------------------------------------
 
 TEST(ServeEngine, DedupsIdenticalInFlightRequests) {
-  sv::engine_options opt;
-  opt.jobs = 1;
-  sv::engine eng(opt);
-  const auto responses = run_lines(eng, {
+  sv::service svc(serial_options());
+  const auto responses = run_lines(svc, {
                                             R"({"id":"a","bench":"ewf"})",
                                             R"({"id":"b","bench":"ewf"})",
                                             R"({"id":"c","bench":"ewf"})",
                                             R"({"id":"d","bench":"hal"})",
                                         });
   ASSERT_EQ(responses.size(), 4u);
-  EXPECT_EQ(eng.counters().computed, 2u);
-  EXPECT_EQ(eng.counters().deduped, 2u);
+  // One worker runs the requests in input order, so each repeat finds its
+  // twin already published: a cache hit, never an in-flight dedup.
+  EXPECT_EQ(svc.stats().computed, 2u);
+  EXPECT_EQ(svc.stats().cache_hits, 2u);
+  EXPECT_EQ(svc.stats().deduped, 0u);
   EXPECT_EQ(responses[0].key, responses[1].key);
   EXPECT_TRUE(responses[0].result.same_schedule(responses[1].result));
   EXPECT_TRUE(responses[0].result.same_schedule(responses[2].result));
@@ -240,18 +253,16 @@ TEST(ServeEngine, EquivalentDfgTextUnifiesWithBenchmark) {
     if (ch == '\n') escaped += "\\n";
     else escaped += ch;
   }
-  sv::engine_options opt;
-  opt.jobs = 1;
-  sv::engine eng(opt);
+  sv::service svc(serial_options());
   const auto responses = run_lines(
-      eng, {R"({"id":"bench","bench":"ewf"})",
+      svc, {R"({"id":"bench","bench":"ewf"})",
             std::string(R"({"id":"text","dfg":")") + escaped + "\"}"});
   ASSERT_EQ(responses.size(), 2u);
   EXPECT_TRUE(responses[0].error.empty()) << responses[0].error;
   EXPECT_TRUE(responses[1].error.empty()) << responses[1].error;
   EXPECT_EQ(responses[0].key, responses[1].key);
-  EXPECT_EQ(eng.counters().computed, 1u);
-  EXPECT_EQ(eng.counters().deduped, 1u);
+  EXPECT_EQ(svc.stats().computed, 1u);
+  EXPECT_EQ(svc.stats().cache_hits, 1u);
 }
 
 TEST(ServeEngine, DeterministicAcrossJobsAndCacheSizes) {
@@ -265,18 +276,16 @@ TEST(ServeEngine, DeterministicAcrossJobsAndCacheSizes) {
       R"(garbage line)",
       R"({"id":"f","bench":"iir4","mul_latency":1})",
   };
-  sv::engine_options serial;
-  serial.jobs = 1;
-  sv::engine reference(serial);
+  sv::service reference(serial_options());
   const auto expected = run_lines(reference, lines);
 
   for (const int jobs : {1, 4}) {
     for (const std::size_t cache_bytes : {std::size_t{0}, std::size_t{1} << 26}) {
-      sv::engine_options opt;
+      sv::service_options opt;
       opt.jobs = jobs;
       opt.cache_bytes = cache_bytes;
-      sv::engine eng(opt);
-      const auto got = run_lines(eng, lines);
+      sv::service svc(opt);
+      const auto got = run_lines(svc, lines);
       ASSERT_EQ(got.size(), expected.size());
       for (std::size_t i = 0; i < got.size(); ++i)
         EXPECT_TRUE(got[i].same_payload(expected[i]))
@@ -290,40 +299,36 @@ TEST(ServeEngine, SecondRunServedEntirelyFromCache) {
       R"({"id":"a","bench":"ewf"})",
       R"({"id":"b","bench":"hal","alus":1})",
   };
-  sv::engine_options opt;
-  opt.jobs = 1;
-  sv::engine eng(opt);
-  const auto cold = run_lines(eng, lines);
-  EXPECT_EQ(eng.counters().computed, 2u);
-  const auto hot = run_lines(eng, lines);
-  EXPECT_EQ(eng.counters().computed, 2u); // unchanged: nothing recomputed
-  EXPECT_EQ(eng.counters().cache_hits, 2u);
+  sv::service svc(serial_options());
+  const auto cold = run_lines(svc, lines);
+  EXPECT_EQ(svc.stats().computed, 2u);
+  const auto hot = run_lines(svc, lines);
+  EXPECT_EQ(svc.stats().computed, 2u); // unchanged: nothing recomputed
+  EXPECT_EQ(svc.stats().cache_hits, 2u);
   ASSERT_EQ(hot.size(), cold.size());
   for (std::size_t i = 0; i < hot.size(); ++i)
     EXPECT_TRUE(hot[i].same_payload(cold[i]));
 }
 
 TEST(ServeEngine, InfeasibleAllocationIsAResponseAndCached) {
-  sv::engine_options opt;
-  opt.jobs = 1;
-  sv::engine eng(opt);
-  const auto first = run_lines(eng, {R"({"id":"x","bench":"ewf","muls":0})"});
+  sv::service svc(serial_options());
+  const auto first = run_lines(svc, {R"({"id":"x","bench":"ewf","muls":0})"});
   ASSERT_EQ(first.size(), 1u);
   EXPECT_TRUE(first[0].error.empty());
   EXPECT_FALSE(first[0].result.feasible);
   EXPECT_FALSE(first[0].result.infeasible_reason.empty());
   EXPECT_EQ(first[0].result.latency, -1);
-  const auto second = run_lines(eng, {R"({"id":"y","bench":"ewf","muls":0})"});
-  EXPECT_EQ(eng.counters().cache_hits, 1u);
+  const auto second = run_lines(svc, {R"({"id":"y","bench":"ewf","muls":0})"});
+  EXPECT_EQ(svc.stats().cache_hits, 1u);
   EXPECT_TRUE(second[0].result.same_schedule(first[0].result));
 }
 
 TEST(ServeEngine, ErrorsStayOnTheirLines) {
-  sv::engine_options opt;
+  sv::service_options opt;
   opt.jobs = 2;
-  opt.batch_size = 2; // exercise multi-batch streaming too
-  sv::engine eng(opt);
-  const auto responses = run_lines(eng, {
+  opt.queue_capacity = 2; // a batch window smaller than the batch
+  sv::service svc(opt);
+  const auto responses = run_lines(svc, {
                                             R"({"id":"ok1","bench":"fig1"})",
                                             R"({"broken")",
                                             R"({"id":"ok2","bench":"fig1"})",
@@ -338,39 +343,45 @@ TEST(ServeEngine, ErrorsStayOnTheirLines) {
   EXPECT_TRUE(responses[4].error.empty());
   for (std::size_t i = 0; i < responses.size(); ++i)
     EXPECT_EQ(responses[i].line, i + 1);
-  EXPECT_EQ(eng.counters().parse_errors, 2u);
-  // fig1 was computed once; the two later fig1 requests crossed batch
-  // boundaries, so they hit the cache rather than the in-flight dedup.
-  EXPECT_EQ(eng.counters().computed, 1u);
-  EXPECT_EQ(eng.counters().cache_hits, 2u);
+  const sv::service_stats stats = svc.stats();
+  EXPECT_EQ(stats.errors, 2u);
+  // fig1 was computed once. On two workers, whether a later fig1 request
+  // joins the computation in flight or hits the cache depends on timing.
+  EXPECT_EQ(stats.computed, 1u);
+  EXPECT_EQ(stats.deduped + stats.cache_hits, 2u);
 }
 
 TEST(ServeEngine, WireCarryingDfgTextSchedules) {
-  sv::engine_options opt;
-  opt.jobs = 1;
-  sv::engine eng(opt);
+  sv::service svc(serial_options());
   const auto responses = run_lines(
-      eng, {R"({"id":"w","dfg":"dfg t\nop a add\nwire w1 2 a\nop b add\nedge w1 b\n"})"});
+      svc, {R"({"id":"w","dfg":"dfg t\nop a add\nwire w1 2 a\nop b add\nedge w1 b\n"})"});
   ASSERT_EQ(responses.size(), 1u);
   EXPECT_TRUE(responses[0].error.empty()) << responses[0].error;
   EXPECT_TRUE(responses[0].result.feasible);
   EXPECT_EQ(responses[0].result.ops, 3u);
 }
 
+namespace {
+
+/// run_batch serialized as --serve-batch writes it: one JSON object per line.
+std::uint64_t run_jsonl(sv::service& svc, std::istream& in, std::ostream& out) {
+  return sv::run_batch(in, svc, [&](const sv::response&, std::string_view line) {
+    out << line << '\n';
+  });
+}
+
+} // namespace
+
 TEST(ServeEngine, StreamEmitsOneValidJsonObjectPerLine) {
-  sv::engine_options opt;
-  opt.jobs = 1;
-  sv::engine eng(opt);
+  sv::service_options opt = serial_options();
+  sv::service svc(opt);
   std::istringstream in("{\"id\":\"a\",\"bench\":\"hal\"}\n"
                         "\n" // blank lines are skipped, numbering preserved
                         "{\"id\":\"b\",\"bench\":\"hal\",\"alus\":0}\n"
                         "broken\n");
   std::ostringstream out;
-  const sv::stream_summary summary = eng.run_stream(in, out);
-  EXPECT_EQ(summary.counters.requests, 3u);
-  EXPECT_EQ(summary.counters.parse_errors, 1u);
-  EXPECT_EQ(summary.batches, 1u);
-  EXPECT_GT(summary.wall_ms, 0.0);
+  EXPECT_EQ(run_jsonl(svc, in, out), 3u);
+  EXPECT_EQ(svc.stats().errors, 1u);
 
   std::istringstream parsed(out.str());
   std::string line;
@@ -387,12 +398,12 @@ TEST(ServeEngine, StreamEmitsOneValidJsonObjectPerLine) {
   ASSERT_NE(docs[2].find("error"), nullptr);
 
   // Compact mode drops the schedule arrays but stays valid JSONL.
-  sv::engine_options compact = opt;
+  sv::service_options compact = opt;
   compact.emit_schedule = false;
-  sv::engine eng2(compact);
+  sv::service svc2(compact);
   std::istringstream in2("{\"id\":\"a\",\"bench\":\"hal\"}\n");
   std::ostringstream out2;
-  (void)eng2.run_stream(in2, out2);
+  (void)run_jsonl(svc2, in2, out2);
   const softsched::json_value doc = parse_json(out2.str());
   EXPECT_EQ(doc.find("start"), nullptr);
   EXPECT_NE(doc.find("stats"), nullptr);
@@ -403,7 +414,7 @@ TEST(ServeEngine, RenumberedIsomorphGetsItsOwnNumberingRegardlessOfCacheState) {
   // *different* order than the bench builder. The canonical digest unifies
   // the two, so a warm cache serves the text request from the bench
   // request's entry - the payload must still be indexed in the text
-  // request's own numbering, i.e. identical to what a fresh engine
+  // request's own numbering, i.e. identical to what a fresh service
   // computes for the text request alone (the cache-transparency half of
   // the determinism contract).
   const si::resource_library lib;
@@ -430,21 +441,19 @@ TEST(ServeEngine, RenumberedIsomorphGetsItsOwnNumberingRegardlessOfCacheState) {
       std::string(R"({"id":"t","dfg":")") + escaped + "\"}";
 
   // Reference: the text request alone, cold cache.
-  sv::engine_options opt;
-  opt.jobs = 1;
-  sv::engine fresh(opt);
+  sv::service fresh(serial_options());
   const auto alone = run_lines(fresh, {text_request});
   ASSERT_EQ(alone.size(), 1u);
   ASSERT_TRUE(alone[0].error.empty()) << alone[0].error;
 
   // Warmed: the bench request populates the shared cache entry first.
-  sv::engine warmed(opt);
+  sv::service warmed(serial_options());
   const auto pair =
       run_lines(warmed, {R"({"id":"b","bench":"ewf"})", text_request});
   ASSERT_EQ(pair.size(), 2u);
   EXPECT_EQ(pair[0].key, pair[1].key); // isomorphs unify
-  EXPECT_EQ(warmed.counters().computed, 1u);
-  EXPECT_EQ(warmed.counters().deduped, 1u);
+  EXPECT_EQ(warmed.stats().computed, 1u);
+  EXPECT_EQ(warmed.stats().cache_hits, 1u);
   // The text request's payload is independent of who computed the entry.
   EXPECT_EQ(alone[0].result.start_times, pair[1].result.start_times);
   EXPECT_EQ(alone[0].result.unit_of, pair[1].result.unit_of);
@@ -478,7 +487,7 @@ TEST(ServeRequest, SourceSignatureSeparatesNearbyEdgeProbabilities) {
 }
 
 TEST(ServeRequest, HostileNumericInputIsAnErrorNotUndefinedBehavior) {
-  // Out-of-range doubles must surface as json_error (and, in the engine,
+  // Out-of-range doubles must surface as json_error (and, in the service,
   // as per-line error responses) - never as an out-of-range cast, which
   // the UBSan CI legs would turn into a process abort.
   EXPECT_THROW(sv::parse_request_line(R"({"random":1e30})"), json_error);
@@ -487,47 +496,10 @@ TEST(ServeRequest, HostileNumericInputIsAnErrorNotUndefinedBehavior) {
   EXPECT_THROW(sv::parse_request_line(R"({"bench":"ewf","alus":-1e25})"), json_error);
   EXPECT_NO_THROW(sv::parse_request_line(R"({"random":50,"seed":4294967296})"));
 
-  sv::engine_options opt;
-  opt.jobs = 1;
-  sv::engine eng(opt);
-  const auto responses = run_lines(eng, {R"({"id":"x","random":1e30})"});
+  sv::service svc(serial_options());
+  const auto responses = run_lines(svc, {R"({"id":"x","random":1e30})"});
   ASSERT_EQ(responses.size(), 1u);
   EXPECT_FALSE(responses[0].error.empty());
-}
-
-TEST(ServeEngine, DedupedOversizeResultServesEveryClientAndRecomputes) {
-  // The dedup x oversize corner: two clients request the same design in
-  // one batch, and the cache budget is too small to retain the computed
-  // schedule. The deduped follower must be served from the in-flight
-  // result itself (a cache re-lookup would find nothing), and the next
-  // batch must recompute rather than crash or serve a stale pointer.
-  sv::engine_options opt;
-  opt.jobs = 2;
-  opt.cache_bytes = 0; // every insert is oversize-rejected
-  opt.cache_shards = 1;
-  sv::engine eng(opt);
-  const auto first = run_lines(eng, {R"({"id":"a","bench":"ewf"})",
-                                     R"({"id":"b","bench":"ewf"})"});
-  ASSERT_EQ(first.size(), 2u);
-  for (const sv::response& r : first) {
-    EXPECT_TRUE(r.error.empty()) << r.error;
-    EXPECT_TRUE(r.result.feasible);
-    EXPECT_FALSE(r.result.start_times.empty());
-  }
-  EXPECT_EQ(first[0].key, first[1].key);
-  EXPECT_TRUE(first[0].result.same_schedule(first[1].result));
-  EXPECT_EQ(first[0].result.start_times, first[1].result.start_times);
-  EXPECT_EQ(eng.counters().computed, 1u);
-  EXPECT_EQ(eng.counters().deduped, 1u);
-  EXPECT_GE(eng.cache().counters().rejected_oversize, 1u);
-
-  // Nothing was retained, so the next batch recomputes - and agrees.
-  const auto second = run_lines(eng, {R"({"id":"c","bench":"ewf"})"});
-  ASSERT_EQ(second.size(), 1u);
-  EXPECT_TRUE(second[0].error.empty()) << second[0].error;
-  EXPECT_EQ(eng.counters().computed, 2u);
-  EXPECT_EQ(eng.counters().cache_hits, 0u);
-  EXPECT_TRUE(second[0].result.same_schedule(first[0].result));
 }
 
 TEST(ScheduleCache, OversizeReplacementKeepsResidentValue) {

@@ -12,6 +12,7 @@
 //   softsched_cli --compare --bench ewf --alus 2 --muls 2
 //   softsched_cli --explore --bench ewf --backend all --jobs 8
 //   softsched_cli --serve-batch requests.jsonl --out responses.jsonl --jobs 8
+#include <charconv>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -36,7 +37,6 @@
 #include "regalloc/left_edge.h"
 #include "sched/backend.h"
 #include "serve/daemon.h"
-#include "serve/engine.h"
 #include "serve/options.h"
 #include "serve/socket.h"
 #include "regalloc/lifetime.h"
@@ -60,12 +60,17 @@ using sg::vertex_id;
 
 namespace {
 
+struct wire_spec {
+  std::string from, to;
+  int delay = 1;
+};
+
 struct options {
   std::string bench;
+  int random_vertices = 0; // --bench random<N>: N (explore mode only)
   std::string dfg_file;
   std::string beh_file;
-  std::string scheduler = "threaded";
-  std::string backend;   // registry name, "all", or comma list; wins over --scheduler
+  std::string backend;   // registry name, "all", or comma list (empty = soft)
   bool compare = false;  // run every registered backend, print the comparison table
   std::string meta = "list";
   std::uint64_t seed = 1;
@@ -76,7 +81,7 @@ struct options {
   int mems = 1;
   bool alus_set = false, muls_set = false, mems_set = false;
   std::vector<std::string> spills;
-  std::vector<std::string> wires; // from:to:delay
+  std::vector<wire_spec> wires;
   bool gantt = false;
   bool stats = false;
   bool registers = false;
@@ -84,8 +89,9 @@ struct options {
   // design-space exploration mode
   bool explore = false;
   int jobs = 0; // 0 = all hardware threads
-  std::string alus_range, muls_range, mems_range, mul_lat_range; // "lo:hi" or "n"
-  std::string iter_budget_range; // sdc-iter budget axis, "lo:hi" or "n"
+  // grid axes ("lo:hi" or "n"); unset = the grid default
+  std::optional<se::axis_range> alus_axis, muls_axis, mems_axis, mul_lat_axis;
+  std::optional<se::axis_range> iter_budget_axis; // sdc-iter budget axis
   std::string explore_out;
   // batch scheduling service mode
   std::string serve_batch; // JSONL request file; "-" = stdin
@@ -108,7 +114,6 @@ struct options {
       << "scheduling:\n"
       << "  --backend <soft|list|fds|sdc-iter|all>          scheduler backend (soft)\n"
       << "  --compare                                       all backends, one table\n"
-      << "  --scheduler <threaded|list|fds>                 legacy alias of --backend\n"
       << "  --meta <dfs|topo|path|list|random>              soft-backend feed order\n"
       << "  --seed <n>                                      random meta seed\n"
       << "  --latency <n>                                   FDS latency budget\n"
@@ -132,7 +137,7 @@ struct options {
       << "  --serve-batch <file|->                          request file (- = stdin)\n"
       << "  --out <file|->                                  responses (default stdout)\n"
       << "  --cache-mb <n>                                  schedule cache budget (64)\n"
-      << "  --serve-batch-size <n>                          requests per wave (64)\n"
+      << "  --serve-queue <n>                               requests in flight (256)\n"
       << "  --serve-compact                                 omit start/unit arrays\n"
       << "  --cache-dir <dir>                               persistent cache tier\n"
       << "  --disk-cache-mb <n>                             disk tier budget (0 = off)\n"
@@ -153,44 +158,99 @@ struct options {
   std::exit(error.empty() ? 0 : 2);
 }
 
+// Strict integer parse behind every numeric flag: the whole token must be
+// an optionally signed decimal inside [lo, hi], so a typo like "2x", a
+// stray "-5" or an overflowing "99999999999" is rejected, naming `what`,
+// instead of silently becoming a different value.
+long long parse_integer(const std::string& token, long long lo, long long hi,
+                        const std::string& what) {
+  long long value = 0;
+  const char* const end = token.data() + token.size();
+  const auto [stop, ec] = std::from_chars(token.data(), end, value);
+  if (token.empty() || ec != std::errc{} || stop != end || value < lo || value > hi)
+    throw softsched::precondition_error(what + " must be an integer in [" +
+                                        std::to_string(lo) + ", " + std::to_string(hi) +
+                                        "], got '" + token + "'");
+  return value;
+}
+
+// A DSE axis: "lo:hi" or a single "n", each bound in [0, hi].
+se::axis_range parse_axis(const std::string& spec, const std::string& flag, int hi) {
+  const auto colon = spec.find(':');
+  const auto bound = [&](const std::string& token) {
+    return static_cast<int>(parse_integer(token, 0, hi, flag + " bound"));
+  };
+  if (colon == std::string::npos) return {bound(spec), bound(spec)};
+  return {bound(spec.substr(0, colon)), bound(spec.substr(colon + 1))};
+}
+
+// --wire <from>:<to>:<delay>.
+wire_spec parse_wire(const std::string& spec) {
+  const auto c1 = spec.find(':');
+  const auto c2 = c1 == std::string::npos ? c1 : spec.find(':', c1 + 1);
+  if (c2 == std::string::npos)
+    throw softsched::precondition_error("--wire expects from:to:delay, got '" + spec +
+                                        "'");
+  const long long delay = parse_integer(spec.substr(c2 + 1), 1, 1'000'000, "--wire delay");
+  return {spec.substr(0, c1), spec.substr(c1 + 1, c2 - c1 - 1), static_cast<int>(delay)};
+}
+
 options parse_args(int argc, char** argv) {
   options opt;
   auto need = [&](int& i) -> std::string {
     if (i + 1 >= argc) usage(argv[0], std::string("missing value for ") + argv[i]);
     return argv[++i];
   };
+  // Every malformed value is a usage error (exit 2) naming its flag.
+  const auto checked = [&](const auto& parse) {
+    try {
+      return parse();
+    } catch (const softsched::precondition_error& e) {
+      usage(argv[0], e.what());
+    }
+  };
+  auto number = [&](int& i, long long lo, long long hi) {
+    const std::string flag = argv[i];
+    const std::string value = need(i);
+    return checked([&] { return parse_integer(value, lo, hi, flag); });
+  };
+  auto count = [&](int& i, int lo, int hi) { return static_cast<int>(number(i, lo, hi)); };
+  auto axis = [&](int& i, int hi) {
+    const std::string flag = argv[i];
+    const std::string value = need(i);
+    return checked([&] { return parse_axis(value, flag, hi); });
+  };
+  // Same ranges as the serve request fields of the same name.
+  constexpr int max_units = 1'000'000;
+  constexpr long long max_seed = 1LL << 53;
+  constexpr int max_mb = 1 << 20;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--bench") opt.bench = need(i);
     else if (arg == "--dfg") opt.dfg_file = need(i);
     else if (arg == "--beh") opt.beh_file = need(i);
-    else if (arg == "--scheduler") opt.scheduler = need(i);
     else if (arg == "--backend") opt.backend = need(i);
     else if (arg == "--compare") opt.compare = true;
     else if (arg == "--meta") opt.meta = need(i);
-    else if (arg == "--seed") opt.seed = std::strtoull(need(i).c_str(), nullptr, 10);
-    else if (arg == "--latency") opt.latency = std::strtoll(need(i).c_str(), nullptr, 10);
-    else if (arg == "--iter-budget") {
-      const std::string value = need(i);
-      if (value.empty() || value.find_first_not_of("0123456789") != std::string::npos)
-        usage(argv[0], "--iter-budget must be a non-negative integer, got '" + value + "'");
-      opt.iter_budget = std::strtoll(value.c_str(), nullptr, 10);
-      if (opt.iter_budget > ss::sdc_iter_max_budget)
-        usage(argv[0], "--iter-budget must be at most " +
-                           std::to_string(ss::sdc_iter_max_budget));
-    }
-    else if (arg == "--alus") { opt.alus = std::atoi(need(i).c_str()); opt.alus_set = true; }
-    else if (arg == "--muls") { opt.muls = std::atoi(need(i).c_str()); opt.muls_set = true; }
-    else if (arg == "--mems") { opt.mems = std::atoi(need(i).c_str()); opt.mems_set = true; }
+    else if (arg == "--seed") opt.seed = static_cast<std::uint64_t>(number(i, 0, max_seed));
+    else if (arg == "--latency") opt.latency = number(i, 1, 1'000'000);
+    else if (arg == "--iter-budget") opt.iter_budget = number(i, 0, ss::sdc_iter_max_budget);
+    else if (arg == "--alus") { opt.alus = count(i, 0, max_units); opt.alus_set = true; }
+    else if (arg == "--muls") { opt.muls = count(i, 0, max_units); opt.muls_set = true; }
+    else if (arg == "--mems") { opt.mems = count(i, 0, max_units); opt.mems_set = true; }
     else if (arg == "--spill") opt.spills.push_back(need(i));
-    else if (arg == "--wire") opt.wires.push_back(need(i));
+    else if (arg == "--wire") {
+      const std::string spec = need(i);
+      opt.wires.push_back(checked([&] { return parse_wire(spec); }));
+    }
     else if (arg == "--explore") opt.explore = true;
-    else if (arg == "--jobs") { opt.jobs = std::atoi(need(i).c_str()); opt.serve_flags.jobs = opt.jobs; }
-    else if (arg == "--alus-range") opt.alus_range = need(i);
-    else if (arg == "--muls-range") opt.muls_range = need(i);
-    else if (arg == "--mems-range") opt.mems_range = need(i);
-    else if (arg == "--mul-lat-range") opt.mul_lat_range = need(i);
-    else if (arg == "--iter-budget-range") opt.iter_budget_range = need(i);
+    else if (arg == "--jobs") { opt.jobs = count(i, 0, 1024); opt.serve_flags.jobs = opt.jobs; }
+    else if (arg == "--alus-range") opt.alus_axis = axis(i, max_units);
+    else if (arg == "--muls-range") opt.muls_axis = axis(i, max_units);
+    else if (arg == "--mems-range") opt.mems_axis = axis(i, max_units);
+    else if (arg == "--mul-lat-range") opt.mul_lat_axis = axis(i, 64);
+    else if (arg == "--iter-budget-range")
+      opt.iter_budget_axis = axis(i, ss::sdc_iter_max_budget);
     else if (arg == "--explore-out") opt.explore_out = need(i);
     else if (arg == "--serve-batch") opt.serve_batch = need(i);
     else if (arg == "--serve") {
@@ -203,14 +263,13 @@ options parse_args(int argc, char** argv) {
       }
     }
     else if (arg == "--listen") opt.serve_flags.listen = need(i);
-    else if (arg == "--max-conns") opt.serve_flags.max_conns = std::atoi(need(i).c_str());
-    else if (arg == "--serve-queue") opt.serve_flags.serve_queue = std::atoi(need(i).c_str());
+    else if (arg == "--max-conns") opt.serve_flags.max_conns = count(i, 1, 65536);
+    else if (arg == "--serve-queue") opt.serve_flags.serve_queue = count(i, 1, max_units);
     else if (arg == "--serve-ordered") opt.serve_flags.serve_ordered = true;
     else if (arg == "--out") opt.out_file = need(i);
-    else if (arg == "--cache-mb") opt.serve_flags.cache_mb = std::atoi(need(i).c_str());
+    else if (arg == "--cache-mb") opt.serve_flags.cache_mb = count(i, 0, max_mb);
     else if (arg == "--cache-dir") opt.serve_flags.cache_dir = need(i);
-    else if (arg == "--disk-cache-mb") opt.serve_flags.disk_cache_mb = std::atoi(need(i).c_str());
-    else if (arg == "--serve-batch-size") opt.serve_flags.serve_batch_size = std::atoi(need(i).c_str());
+    else if (arg == "--disk-cache-mb") opt.serve_flags.disk_cache_mb = count(i, 0, max_mb);
     else if (arg == "--serve-compact") opt.serve_flags.serve_compact = true;
     else if (arg == "--arena") opt.serve_flags.arena = need(i);
     else if (arg == "--gantt") opt.gantt = true;
@@ -220,6 +279,11 @@ options parse_args(int argc, char** argv) {
     else if (arg == "--help" || arg == "-h") usage(argv[0]);
     else usage(argv[0], "unknown option " + arg);
   }
+  if (opt.bench.rfind("random", 0) == 0) // same range as the serve "random" field
+    opt.random_vertices = checked([&] {
+      return static_cast<int>(
+          parse_integer(opt.bench.substr(6), 1, 200000, "--bench random<N> size"));
+    });
   const int inputs = static_cast<int>(!opt.bench.empty()) +
                      static_cast<int>(!opt.dfg_file.empty()) +
                      static_cast<int>(!opt.beh_file.empty());
@@ -284,10 +348,9 @@ std::vector<std::string> parse_backend_list(const std::string& spec) {
 }
 
 // The one validated scheduling surface, mirroring serve/options.h: backend
-// selection (with the legacy --scheduler alias folded in), meta order, FDS
-// budget and the --arena knob all derive from the raw flags exactly once,
-// and every mode - single run, --compare, --explore - consumes this struct
-// instead of re-deriving from strings.
+// selection, meta order, FDS budget and the --arena knob all derive from
+// the raw flags exactly once, and every mode - single run, --compare,
+// --explore - consumes this struct instead of re-deriving from strings.
 struct scheduling_config {
   std::vector<std::string> backends; ///< resolved registry names, never empty
   sm::meta_kind meta = sm::meta_kind::list_priority; ///< never `random`
@@ -306,9 +369,9 @@ struct scheduling_config {
                                  : softsched::util::arena::default_block_bytes;
   }
   /// The per-run options a registry backend consumes. Backends that ignore
-  /// the feed order keep ignoring --meta (the legacy `--scheduler list
-  /// --meta random` spelling stays valid); backends that consume it reject
-  /// `random` - registry runs need a deterministic order.
+  /// the feed order keep ignoring --meta (`--backend list --meta random`
+  /// stays valid); backends that consume it reject `random` - registry
+  /// runs need a deterministic order.
   [[nodiscard]] ss::backend_options options_for(const ss::scheduler_backend& b) const {
     ss::backend_options bopt;
     if (b.caps().uses_meta) {
@@ -324,12 +387,7 @@ struct scheduling_config {
 
 scheduling_config scheduling_from_options(const options& opt) {
   scheduling_config cfg;
-  // --backend wins when both are given; the legacy --scheduler spelling
-  // maps threaded -> soft and otherwise passes through to the registry.
-  const std::string spec = !opt.backend.empty()
-                               ? opt.backend
-                               : (opt.scheduler == "threaded" ? "soft" : opt.scheduler);
-  cfg.backends = parse_backend_list(spec == "all" ? "all" : spec);
+  cfg.backends = parse_backend_list(opt.backend);
   const sm::meta_kind kind = parse_meta(opt.meta);
   cfg.random_meta = kind == sm::meta_kind::random;
   if (!cfg.random_meta) cfg.meta = kind;
@@ -393,41 +451,12 @@ int run_compare(const scheduling_config& cfg, const si::resource_library& lib,
   return all_legal ? 0 : 1;
 }
 
-// Strict non-negative integer parse: the whole token must be digits and in
-// range, so a typo like "x:4" or an overflowing "99999999999" is rejected
-// rather than silently becoming a wrong bound.
-int parse_axis_bound(const std::string& token, const std::string& flag_spec) {
-  SOFTSCHED_EXPECT(!token.empty() &&
-                       token.find_first_not_of("0123456789") == std::string::npos,
-                   "malformed axis '" + flag_spec + "' (expected <n> or <lo>:<hi>)");
-  const long long value = std::strtoll(token.c_str(), nullptr, 10);
-  SOFTSCHED_EXPECT(value <= 1'000'000,
-                   "axis bound out of range in '" + flag_spec + "'");
-  return static_cast<int>(value);
-}
-
-// "lo:hi" or a single "n"; keeps `fallback` when the flag was not given.
-se::axis_range parse_axis(const std::string& spec, se::axis_range fallback) {
-  if (spec.empty()) return fallback;
-  const auto colon = spec.find(':');
-  se::axis_range axis;
-  if (colon == std::string::npos) {
-    axis.lo = axis.hi = parse_axis_bound(spec, spec);
-  } else {
-    axis.lo = parse_axis_bound(spec.substr(0, colon), spec);
-    axis.hi = parse_axis_bound(spec.substr(colon + 1), spec);
-  }
-  return axis;
-}
-
 int run_explore(const options& opt, const scheduling_config& cfg) {
   SOFTSCHED_EXPECT(!opt.bench.empty(),
                    "--explore needs --bench (a named benchmark or random<N>)");
   se::grid_spec spec;
-  if (opt.bench.rfind("random", 0) == 0) {
-    spec.design.random_vertices = std::atoi(opt.bench.c_str() + 6);
-    SOFTSCHED_EXPECT(spec.design.random_vertices >= 1,
-                     "random design needs a size, e.g. --bench random600");
+  if (opt.random_vertices > 0) {
+    spec.design.random_vertices = opt.random_vertices;
     spec.design.seed = opt.seed;
   } else {
     spec.design.bench = opt.bench;
@@ -438,14 +467,11 @@ int run_explore(const options& opt, const scheduling_config& cfg) {
   if (opt.alus_set) spec.alus = {opt.alus, opt.alus};
   if (opt.muls_set) spec.muls = {opt.muls, opt.muls};
   if (opt.mems_set) spec.mems = {opt.mems, opt.mems};
-  spec.alus = parse_axis(opt.alus_range, spec.alus);
-  spec.muls = parse_axis(opt.muls_range, spec.muls);
-  spec.mems = parse_axis(opt.mems_range, spec.mems);
-  spec.mul_latency = parse_axis(opt.mul_lat_range, spec.mul_latency);
-  spec.iter_budget = parse_axis(opt.iter_budget_range, spec.iter_budget);
-  SOFTSCHED_EXPECT(spec.iter_budget.hi <= ss::sdc_iter_max_budget,
-                   "--iter-budget-range must stay at or under " +
-                       std::to_string(ss::sdc_iter_max_budget));
+  spec.alus = opt.alus_axis.value_or(spec.alus);
+  spec.muls = opt.muls_axis.value_or(spec.muls);
+  spec.mems = opt.mems_axis.value_or(spec.mems);
+  spec.mul_latency = opt.mul_lat_axis.value_or(spec.mul_latency);
+  spec.iter_budget = opt.iter_budget_axis.value_or(spec.iter_budget);
 
   se::exploration_options eopt;
   eopt.jobs = opt.jobs;
@@ -491,60 +517,67 @@ int run_explore(const options& opt, const scheduling_config& cfg) {
 }
 
 // One stable stderr line for the persistent tier, shared by both serve
-// modes (and grepped by the docs/SERVING.md warm-restart example).
-void report_disk_tier(const sv::disk_cache_counters& d) {
-  std::cerr << "serve: disk tier: " << d.hits << " disk hits, " << d.misses
-            << " disk misses, " << d.writes << " writes, " << d.flushed
-            << " flushed, " << d.evictions << " evictions, " << d.corrupt_dropped
-            << " corrupt dropped, " << d.io_errors << " io errors; recovered "
-            << d.recovered_entries << " entries in " << d.recovery_scan_ms
-            << " ms; " << d.entries << " entries, " << d.bytes << " bytes"
-            << (d.degraded ? "; DEGRADED (RAM-only)" : "") << "\n";
+// modes (and grepped by CI and the docs/SERVING.md warm-restart example).
+void report_disk_tier(const sv::service_stats& s) {
+  if (!s.disk_enabled) return;
+  std::cerr << "serve: disk tier: " << s.disk_hits << " disk hits, " << s.disk_misses
+            << " disk misses, " << s.disk_writes << " writes, " << s.disk_flushed
+            << " flushed, " << s.disk_evictions << " evictions, "
+            << s.disk_corrupt_dropped << " corrupt dropped, " << s.disk_io_errors
+            << " io errors; recovered " << s.disk_recovered_entries << " entries in "
+            << s.disk_recovery_scan_ms << " ms; " << s.disk_entries << " entries, "
+            << s.disk_bytes << " bytes"
+            << (s.disk_degraded ? "; DEGRADED (RAM-only)" : "") << "\n";
 }
 
-// Batch scheduling service: JSONL requests -> JSONL responses, cache and
-// dedup summary on stderr (stdout stays machine-readable).
-int run_serve(const options& opt) {
+// Opens the response stream: a file, or stdout for "" / "-".
+std::ostream& open_output(const std::string& path, std::ofstream& file) {
+  if (path.empty() || path == "-") return std::cout;
+  file.open(path);
+  if (!file) throw softsched::precondition_error("cannot open " + path);
+  return file;
+}
+
+// Opens the request stream: a file, or stdin for "-".
+std::istream& open_input(const std::string& path, std::ifstream& file) {
+  if (path == "-") return std::cin;
+  file.open(path);
+  if (!file) throw softsched::precondition_error("cannot open " + path);
+  return file;
+}
+
+// Batch scheduling service: JSONL requests -> JSONL responses in input
+// order, through the same service the daemon runs; summary on stderr
+// (stdout stays machine-readable).
+int run_serve_batch(const options& opt) {
   // One validation path for every serving flag (serve/options.h); the
   // error messages tests pin live there, not here.
-  const sv::engine_options eopt = sv::engine_options_from_flags(opt.serve_flags);
-
+  const sv::service_options sopt = sv::daemon_options_from_flags(opt.serve_flags).service;
   std::ifstream in_file;
-  std::istream* in = &std::cin;
-  if (opt.serve_batch != "-") {
-    in_file.open(opt.serve_batch);
-    if (!in_file) throw softsched::precondition_error("cannot open " + opt.serve_batch);
-    in = &in_file;
-  }
+  std::istream& in = open_input(opt.serve_batch, in_file);
   std::ofstream out_file;
-  std::ostream* out = &std::cout;
-  if (!opt.out_file.empty() && opt.out_file != "-") {
-    out_file.open(opt.out_file);
-    if (!out_file) throw softsched::precondition_error("cannot open " + opt.out_file);
-    out = &out_file;
-  }
+  std::ostream& out = open_output(opt.out_file, out_file);
 
-  sv::engine eng(eopt);
-  const sv::stream_summary summary = eng.run_stream(*in, *out);
+  sv::service svc(sopt);
+  const std::uint64_t requests = sv::run_batch(
+      in, svc, [&](const sv::response&, std::string_view line) { out << line << '\n'; });
   // Flush before checking: a write failure (disk full) surfacing only at
   // close must not exit 0 with a truncated response file.
-  out->flush();
-  if (!*out) throw softsched::precondition_error("failed to write responses");
+  out.flush();
+  if (!out) throw softsched::precondition_error("failed to write responses");
 
-  const sv::engine_counters& c = summary.counters;
-  const sv::cache_counters cc = eng.cache().counters();
-  std::cerr << "serve: " << c.requests << " requests in " << summary.batches
-            << " batches on " << eng.jobs() << " jobs: " << c.computed
-            << " scheduled, " << c.cache_hits << " cache hits, " << c.deduped
-            << " deduped, " << c.parse_errors << " errors (hit rate "
-            << c.hit_rate() << ")\n";
-  std::cerr << "serve: " << summary.wall_ms << " ms, " << summary.requests_per_sec()
-            << " requests/sec; cache " << cc.entries << " entries, " << cc.bytes
-            << " bytes, " << cc.evictions << " evictions\n";
-  if (sv::disk_cache* disk = eng.disk(); disk != nullptr) {
-    (void)eng.flush_disk(); // report settled counters, not a mid-flush snapshot
-    report_disk_tier(disk->counters());
-  }
+  svc.drain(); // `completed` (behind hit_rate and qps) counts after each callback
+  (void)svc.flush_disk(); // report settled counters, not a mid-flush snapshot
+  const sv::service_stats s = svc.stats();
+  const sv::cache_counters cc = svc.cache().counters();
+  std::cerr << "serve: " << requests << " requests on " << svc.jobs() << " jobs: "
+            << s.computed << " scheduled, " << s.cache_hits << " cache hits, "
+            << s.deduped << " deduped, " << s.errors << " errors (hit rate " << s.hit_rate
+            << ")\n";
+  std::cerr << "serve: " << s.uptime_ms << " ms, " << s.qps << " requests/sec; cache "
+            << cc.entries << " entries, " << cc.bytes << " bytes, " << cc.evictions
+            << " evictions\n";
+  report_disk_tier(s);
   return 0;
 }
 
@@ -567,16 +600,7 @@ void report_daemon(std::uint64_t requests, const sv::service_stats& s,
             << " active, " << c.closed << " closed, " << c.transport_errors
             << " transport errors, " << c.bytes_in << " bytes in, " << c.bytes_out
             << " bytes out\n";
-  if (s.disk_enabled) {
-    std::cerr << "serve: disk tier: " << s.disk_hits << " disk hits, " << s.disk_misses
-              << " disk misses, " << s.disk_writes << " writes, " << s.disk_flushed
-              << " flushed, " << s.disk_evictions << " evictions, "
-              << s.disk_corrupt_dropped << " corrupt dropped, " << s.disk_io_errors
-              << " io errors; recovered " << s.disk_recovered_entries << " entries in "
-              << s.disk_recovery_scan_ms << " ms; " << s.disk_entries << " entries, "
-              << s.disk_bytes << " bytes"
-              << (s.disk_degraded ? "; DEGRADED (RAM-only)" : "") << "\n";
-  }
+  report_disk_tier(s);
 }
 
 // Resident daemon over a socket listener: accept loop + per-connection
@@ -608,7 +632,7 @@ int run_socket_daemon(const sv::daemon_options& dopt, const sv::listen_spec& spe
 
 // Resident daemon: framed requests -> framed responses (docs/SERVING.md),
 // session summary on stderr. SOFTSCHED_INJECT (fault injection for tests)
-// is honored here and nowhere else.
+// is honored here and by --serve-batch.
 int run_daemon_mode(const options& opt) {
   // One validation path for every serving flag (serve/options.h); the
   // error messages tests pin live there, not here.
@@ -617,23 +641,13 @@ int run_daemon_mode(const options& opt) {
   if (spec.kind != sv::listen_spec::transport::stdio) return run_socket_daemon(dopt, spec);
 
   std::ifstream in_file;
-  std::istream* in = &std::cin;
-  if (opt.serve != "-") {
-    in_file.open(opt.serve);
-    if (!in_file) throw softsched::precondition_error("cannot open " + opt.serve);
-    in = &in_file;
-  }
+  std::istream& in = open_input(opt.serve, in_file);
   std::ofstream out_file;
-  std::ostream* out = &std::cout;
-  if (!opt.out_file.empty() && opt.out_file != "-") {
-    out_file.open(opt.out_file);
-    if (!out_file) throw softsched::precondition_error("cannot open " + opt.out_file);
-    out = &out_file;
-  }
+  std::ostream& out = open_output(opt.out_file, out_file);
 
-  const sv::daemon_summary summary = sv::run_daemon(*in, *out, dopt);
-  out->flush();
-  if (!*out) throw softsched::precondition_error("failed to write responses");
+  const sv::daemon_summary summary = sv::run_daemon(in, out, dopt);
+  out.flush();
+  if (!out) throw softsched::precondition_error("failed to write responses");
 
   report_daemon(summary.requests, summary.stats, dopt.service.queue_capacity,
                 summary.shutdown_requested, summary.transport_error, summary.conns);
@@ -658,11 +672,17 @@ int run_cache_tool(int argc, char** argv) {
     if (arg == "--cache-dir") dir = need();
     else if (arg == "--out") out_spec = need();
     else if (arg == "--in") in_spec = need();
-    else if (arg == "--disk-cache-mb") budget_mb = std::atoi(need().c_str());
+    else if (arg == "--disk-cache-mb") {
+      const std::string value = need();
+      try {
+        budget_mb = static_cast<int>(parse_integer(value, 1, 1 << 20, arg));
+      } catch (const softsched::precondition_error& e) {
+        usage(argv[0], e.what());
+      }
+    }
     else usage(argv[0], "unknown cache option " + arg);
   }
   SOFTSCHED_EXPECT(!dir.empty(), "cache " + verb + " needs --cache-dir");
-  SOFTSCHED_EXPECT(budget_mb >= 1, "--disk-cache-mb must be >= 1");
 
   if (verb == "export") {
     sv::disk_cache_options copt;
@@ -712,7 +732,7 @@ int run_cache_tool(int argc, char** argv) {
 
 int run(const options& opt) {
   if (opt.serve_mode) return run_daemon_mode(opt);
-  if (!opt.serve_batch.empty()) return run_serve(opt);
+  if (!opt.serve_batch.empty()) return run_serve_batch(opt);
   const scheduling_config cfg = scheduling_from_options(opt);
   if (opt.explore) return run_explore(opt, cfg);
   const si::resource_library lib;
@@ -761,17 +781,13 @@ int run(const options& opt) {
                 << report.diameter_before << " -> " << report.diameter_after
                 << " states\n";
     }
-    for (const std::string& spec : opt.wires) {
-      const auto c1 = spec.find(':');
-      const auto c2 = spec.find(':', c1 == std::string::npos ? c1 : c1 + 1);
-      if (c1 == std::string::npos || c2 == std::string::npos)
-        throw softsched::precondition_error("--wire expects from:to:delay");
-      const auto report = sf::apply_wire_delay(
-          design, *state, si::find_op(design, spec.substr(0, c1)),
-          si::find_op(design, spec.substr(c1 + 1, c2 - c1 - 1)),
-          std::atoi(spec.c_str() + c2 + 1));
-      std::cout << "wire " << spec << ": " << report.diameter_before << " -> "
-                << report.diameter_after << " states\n";
+    for (const wire_spec& wire : opt.wires) {
+      const auto report =
+          sf::apply_wire_delay(design, *state, si::find_op(design, wire.from),
+                               si::find_op(design, wire.to), wire.delay);
+      std::cout << "wire " << wire.from << ":" << wire.to << ":" << wire.delay << ": "
+                << report.diameter_before << " -> " << report.diameter_after
+                << " states\n";
     }
     result = sh::extract_schedule(*state);
     std::cout << "soft schedule (" << opt.meta << " meta): " << result.makespan
@@ -794,8 +810,7 @@ int run(const options& opt) {
 
   // Every backend's output goes through the shared checker; the registry's
   // fds backend searches for a budget whose schedule fits the allocation,
-  // so unlike the pre-registry --scheduler fds path the resource check
-  // applies to it too.
+  // so the resource check applies to it too.
   const auto violations = sh::validate_schedule(design, result, &resources);
   if (!violations.empty()) {
     std::cerr << "INVALID schedule: " << violations.front() << '\n';
