@@ -1,6 +1,9 @@
 #include "ir/benchmarks.h"
 
-#include <cstdlib>
+#include <charconv>
+#include <optional>
+#include <string_view>
+#include <utility>
 
 #include "util/check.h"
 
@@ -178,19 +181,67 @@ dfg make_figure1(const resource_library& library) {
   return d;
 }
 
-dfg make_benchmark(const std::string& name, const resource_library& library) {
-  if (name == "hal") return make_hal(library);
-  if (name == "arf") return make_arf(library);
-  if (name == "ewf") return make_ewf(library);
-  if (name == "fig1") return make_figure1(library);
-  const auto parameter = [&](std::size_t prefix_len) {
-    const int n = std::atoi(name.c_str() + prefix_len);
-    SOFTSCHED_EXPECT(n >= 1, "malformed benchmark parameter in '" + name + "'");
-    return n;
+namespace {
+
+/// A parameterized family name ("fir<N>", "iir<N>") split into its
+/// generator and size. The size is the whole rest of the name, a decimal in
+/// [1, max]; anything else - "fir8x", "fir", an overflowing "fir9999999999"
+/// or a design past max_design_ops - is rejected, never coerced.
+struct sized_family {
+  dfg (*make)(const resource_library&, int) = nullptr;
+  int size = 0;
+};
+
+std::optional<sized_family> parse_sized_family(const std::string& name) {
+  struct family {
+    std::string_view prefix;
+    dfg (*make)(const resource_library&, int);
+    int max; ///< largest size whose design stays within max_design_ops
   };
-  if (name.rfind("fir", 0) == 0) return make_fir(library, parameter(3));
-  if (name.rfind("iir", 0) == 0) return make_iir_cascade(library, parameter(3));
+  static constexpr family families[] = {
+      {"fir", make_fir, (max_design_ops + 1) / 2}, // taps + (taps - 1) ops
+      {"iir", make_iir_cascade, max_design_ops / 8}, // 8 ops per section
+  };
+  for (const family& f : families) {
+    if (name.rfind(f.prefix, 0) != 0) continue;
+    const char* const first = name.data() + f.prefix.size();
+    const char* const last = name.data() + name.size();
+    int n = 0;
+    const auto [stop, ec] = std::from_chars(first, last, n);
+    if (first == last || ec != std::errc{} || stop != last || n < 1 || n > f.max)
+      throw precondition_error("benchmark '" + name + "': " + std::string(f.prefix) +
+                               "<N> size must be an integer in [1, " +
+                               std::to_string(f.max) + "]");
+    return sized_family{f.make, n};
+  }
+  return std::nullopt;
+}
+
+using fixed_maker = dfg (*)(const resource_library&);
+
+/// The generator of an unparameterized benchmark, or nullptr.
+fixed_maker find_fixed(const std::string& name) {
+  static constexpr std::pair<std::string_view, fixed_maker> fixed[] = {
+      {"hal", make_hal}, {"arf", make_arf}, {"ewf", make_ewf}, {"fig1", make_figure1}};
+  for (const auto& [fixed_name, make] : fixed)
+    if (name == fixed_name) return make;
+  return nullptr;
+}
+
+[[noreturn]] void unknown_benchmark(const std::string& name) {
   throw precondition_error("unknown benchmark '" + name + "'");
+}
+
+} // namespace
+
+void check_benchmark_name(const std::string& name) {
+  if (find_fixed(name) == nullptr && !parse_sized_family(name)) unknown_benchmark(name);
+}
+
+dfg make_benchmark(const std::string& name, const resource_library& library) {
+  if (const fixed_maker make = find_fixed(name)) return make(library);
+  if (const auto sized = parse_sized_family(name)) return sized->make(library, sized->size);
+  unknown_benchmark(name);
 }
 
 vertex_id find_op(const dfg& graph, const std::string& name) {

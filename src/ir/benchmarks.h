@@ -47,12 +47,23 @@ namespace softsched::ir {
 /// walk through.
 [[nodiscard]] dfg make_figure1(const resource_library& library);
 
+/// The largest design a name or request may ask for, in operations: the
+/// ceiling of the random family ("random" serve field, --bench random<N>)
+/// and of the fir<N>/iir<N> sizes, so one request cannot exhaust memory.
+inline constexpr int max_design_ops = 200000;
+
 /// Benchmark lookup by CLI-style name: "hal", "arf", "ewf", "fig1",
-/// "fir<N>" (e.g. "fir8"), "iir<N>". One parser shared by softsched_cli and
-/// the design-space exploration engine. Throws precondition_error on an
-/// unknown name or a malformed parameter.
+/// "fir<N>" (e.g. "fir8"), "iir<N>". One parser shared by softsched_cli,
+/// the serve engine and the design-space exploration engine. N is a strict
+/// decimal (no sign, no trailing text) bounded so the design has at most
+/// max_design_ops operations. Throws precondition_error on an unknown name
+/// or a malformed or out-of-range parameter.
 [[nodiscard]] dfg make_benchmark(const std::string& name,
                                  const resource_library& library);
+
+/// Throws exactly what make_benchmark(name, ...) would for a bad name,
+/// without building the design (the CLI's up-front flag check).
+void check_benchmark_name(const std::string& name);
 
 /// Vertex handle lookup by the diagnostic name assigned at construction.
 /// Throws precondition_error if absent.

@@ -6,7 +6,7 @@ namespace softsched::serve {
 
 std::size_t schedule_result::bytes() const noexcept {
   return sizeof(schedule_result) + infeasible_reason.size() +
-         start_times.size() * sizeof(long long) + unit_of.size() * sizeof(int);
+         start_times.raw().size() + unit_of.raw().size();
 }
 
 bool schedule_result::same_schedule(const schedule_result& other) const {

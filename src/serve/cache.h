@@ -27,6 +27,7 @@
 
 #include "core/threaded_graph.h"
 #include "ir/dfg_hash.h"
+#include "util/packed_ints.h"
 
 namespace softsched::serve {
 
@@ -39,11 +40,12 @@ struct schedule_result {
   std::string infeasible_reason; ///< set iff !feasible
   std::size_t ops = 0;
   long long latency = -1;              ///< final ||S|| in states; -1 when infeasible
-  std::vector<long long> start_times;  ///< per-op ASAP start cycle (source id order)
-  std::vector<int> unit_of;            ///< per-op functional unit (thread index)
+  packed_ints start_times; ///< per-op ASAP start cycle (source id order)
+  packed_ints unit_of;     ///< per-op functional unit (thread index; -1 = unbound)
   core::schedule_stats stats;
 
-  /// Approximate heap + object footprint, the unit of the cache budget.
+  /// Approximate heap + object footprint, the unit of the cache budget:
+  /// the arrays count at their packed width.
   [[nodiscard]] std::size_t bytes() const noexcept;
 
   /// Value equality (stats included) - the determinism witness the serve

@@ -439,6 +439,11 @@ service_stats service::stats() const {
   s.hit_rate = served > 0
                    ? static_cast<double>(s.cache_hits + s.deduped) / static_cast<double>(served)
                    : 0;
+  const cache_counters c = cache_.counters();
+  s.cache_entries = c.entries;
+  s.cache_bytes = c.bytes;
+  s.cache_evictions = c.evictions;
+  s.cache_rejected_oversize = c.rejected_oversize;
   if (disk_ != nullptr) {
     const disk_cache_counters d = disk_->counters();
     s.disk_enabled = true;
@@ -525,11 +530,12 @@ struct pending_gate {
     const std::lock_guard<std::mutex> lock(mutex);
     ++outstanding;
   }
+  // Notifies under the lock: once wait() sees outstanding == 0 it returns
+  // and the owner destroys the gate, so a notify after unlocking could
+  // touch a dead condition variable.
   void disarm() {
-    {
-      const std::lock_guard<std::mutex> lock(mutex);
-      --outstanding;
-    }
+    const std::lock_guard<std::mutex> lock(mutex);
+    --outstanding;
     done.notify_all();
   }
   void wait() {

@@ -32,6 +32,25 @@ constexpr std::uint64_t stats_field_count = 10;
 // that could wedge the process.
 constexpr std::uint64_t max_plausible_payload = 1ull << 32;
 
+/// One packed payload array: u8 width, u64 count, count * width raw bytes.
+void write_packed(byte_writer& w, const packed_ints& values) {
+  w.u8(static_cast<std::uint8_t>(values.width()));
+  w.u64(values.size());
+  w.raw(values.raw());
+}
+
+/// Reads what write_packed wrote. False on a width other than 1/2/4/8 or a
+/// count whose bytes run past the payload - checked before anything is
+/// sized by the count.
+bool read_packed(byte_reader& r, packed_ints& out) {
+  const unsigned width = r.u8();
+  const std::uint64_t count = r.u64();
+  if (!r.ok() || !packed_ints::valid_width(width) || count > r.remaining() / width)
+    return false;
+  out = packed_ints::from_raw(width, r.raw(static_cast<std::size_t>(count) * width));
+  return true;
+}
+
 void sleep_ms(double ms) {
   if (ms > 0)
     std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(ms));
@@ -104,10 +123,8 @@ std::string disk_cache::serialize_record(const ir::dfg_digest& key,
   payload.str(value.infeasible_reason);
   payload.u64(value.ops);
   payload.i64(value.latency);
-  payload.u64(value.start_times.size());
-  for (const long long t : value.start_times) payload.i64(t);
-  payload.u64(value.unit_of.size());
-  for (const int u : value.unit_of) payload.i64(u);
+  write_packed(payload, value.start_times);
+  write_packed(payload, value.unit_of);
   payload.u64(stats_field_count);
   payload.u64(value.stats.select_calls);
   payload.u64(value.stats.positions_scanned);
@@ -119,7 +136,11 @@ std::string disk_cache::serialize_record(const ir::dfg_digest& key,
   payload.u64(value.stats.closure_rebuilds);
   payload.u64(value.stats.closure_syncs);
   payload.u64(value.stats.closure_rows_touched);
+  return frame_record(key, payload.bytes(), version);
+}
 
+std::string disk_cache::frame_record(const ir::dfg_digest& key, std::string_view payload,
+                                     std::uint32_t version) {
   byte_writer header;
   header.u32(record_magic);
   header.u32(version);
@@ -128,7 +149,7 @@ std::string disk_cache::serialize_record(const ir::dfg_digest& key,
   header.u64(payload.size());
   header.u64(0); // checksum, patched below
   std::string record = header.take();
-  record += payload.bytes();
+  record += payload;
   const std::uint64_t sum = record_checksum(record);
   for (int b = 0; b < 8; ++b)
     record[32 + static_cast<std::size_t>(b)] = static_cast<char>((sum >> (8 * b)) & 0xff);
@@ -155,14 +176,7 @@ disk_cache::deserialize_record(std::string_view bytes, const ir::dfg_digest* exp
   v.infeasible_reason = r.str();
   v.ops = static_cast<std::size_t>(r.u64());
   v.latency = r.i64();
-  const std::uint64_t n_starts = r.u64();
-  if (!r.ok() || n_starts > r.remaining() / 8) return std::nullopt;
-  v.start_times.reserve(static_cast<std::size_t>(n_starts));
-  for (std::uint64_t i = 0; i < n_starts; ++i) v.start_times.push_back(r.i64());
-  const std::uint64_t n_units = r.u64();
-  if (!r.ok() || n_units > r.remaining() / 8) return std::nullopt;
-  v.unit_of.reserve(static_cast<std::size_t>(n_units));
-  for (std::uint64_t i = 0; i < n_units; ++i) v.unit_of.push_back(static_cast<int>(r.i64()));
+  if (!read_packed(r, v.start_times) || !read_packed(r, v.unit_of)) return std::nullopt;
   if (r.u64() != stats_field_count) return std::nullopt;
   v.stats.select_calls = r.u64();
   v.stats.positions_scanned = r.u64();
@@ -568,8 +582,7 @@ disk_import_summary disk_cache::import_from(std::istream& in) {
     byte_reader r(record);
     const std::uint32_t magic = r.u32();
     const std::uint32_t version = r.u32();
-    r.u64();
-    r.u64();
+    (void)r.raw(16); // key_hi, key_lo: deserialize_record checksums them below
     const std::uint64_t payload_len = r.u64();
     // A bad length field makes resynchronization unsafe: stop rather than
     // guess where the next record starts.

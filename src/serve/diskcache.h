@@ -26,9 +26,20 @@
 // The checksum is FNV-1a 64 over (version, key_hi, key_lo, payload), so a
 // bit flip anywhere that matters - including in the key field, which would
 // otherwise let record A answer for key B - fails verification. The
-// payload is the byte_writer serialization of one schedule_result
-// (field-count-prefixed stats, so adding a counter to schedule_stats
-// without bumping the record version reads as corrupt, not as garbage).
+// payload is the byte_writer serialization of one schedule_result:
+//
+//   u8 feasible   u64 len + reason bytes   u64 ops   i64 latency
+//   start array   unit array               u64 stats field count + u64s
+//
+// Each array is width-packed (util/packed_ints.h): u8 width (1, 2, 4 or
+// 8), u64 count, then count * width raw little-endian bytes. A width
+// outside that set, or a count whose bytes overrun the payload, decodes as
+// corrupt. The stats block is field-count-prefixed, so adding a counter to
+// schedule_stats without bumping the record version reads as corrupt, not
+// as garbage. Version 2 introduced the packed arrays; version-1 records
+// (one i64 per value) and version-1 exports are version-skewed, so they
+// are quarantined / refused like any other invalid record - a pre-v2 cache
+// directory comes back empty and refills.
 //
 // Concurrency: one mutex serializes index/LRU/counters *and* the record
 // I/O. This tier sits below a RAM miss - the slow path by construction -
@@ -174,7 +185,7 @@ public:
 
   // -- record format (exposed for tests and the corruption matrix) --------
   static constexpr std::uint32_t record_magic = 0x43445353u;   ///< "SSDC" LE
-  static constexpr std::uint32_t record_version = 1;
+  static constexpr std::uint32_t record_version = 2;
   static constexpr std::size_t record_header_bytes = 40;
   static constexpr std::uint32_t export_magic = 0x58435353u;   ///< "SSCX" LE
 
@@ -187,6 +198,13 @@ public:
   [[nodiscard]] static std::string serialize_record(const ir::dfg_digest& key,
                                                     const schedule_result& value,
                                                     std::uint32_t version = record_version);
+
+  /// Wraps an already-encoded payload in a record header with a valid
+  /// checksum: the second half of serialize_record, exposed so tests can
+  /// craft malformed payloads that only the payload decoder can reject.
+  [[nodiscard]] static std::string frame_record(const ir::dfg_digest& key,
+                                                std::string_view payload,
+                                                std::uint32_t version = record_version);
 
   /// Validates + decodes one record. Returns nullopt on any defect
   /// (wrong magic/version/length/checksum, short buffer, malformed

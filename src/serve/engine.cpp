@@ -60,11 +60,9 @@ schedule_result compute_canonical_schedule(const request& req,
 schedule_result result_to_source_order(const schedule_result& canonical,
                                        const std::vector<std::uint32_t>& canonical_of) {
   schedule_result r = canonical; // scalars + stats; arrays rewritten below
-  for (std::size_t src = 0; src < canonical_of.size(); ++src) {
-    if (src < r.start_times.size())
-      r.start_times[src] = canonical.start_times[canonical_of[src]];
-    if (src < r.unit_of.size()) r.unit_of[src] = canonical.unit_of[canonical_of[src]];
-  }
+  // Infeasible outcomes carry no arrays; feasible ones one entry per op.
+  if (!r.start_times.empty()) r.start_times = canonical.start_times.permuted(canonical_of);
+  if (!r.unit_of.empty()) r.unit_of = canonical.unit_of.permuted(canonical_of);
   return r;
 }
 
@@ -120,7 +118,7 @@ void write_response_line(std::ostream& out, const response& r, bool emit_schedul
         j.end_array();
         j.key("unit");
         j.begin_array();
-        for (const int u : r.result.unit_of) j.value(u);
+        for (const long long u : r.result.unit_of) j.value(u);
         j.end_array();
       }
       j.key("stats");

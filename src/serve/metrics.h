@@ -75,6 +75,12 @@ struct service_stats {
   double p99_ms = 0;
   double hit_rate = 0; ///< (cache_hits + deduped) / completed-without-error
 
+  // RAM-tier residency (serve/cache.h schedule_cache::counters()).
+  std::size_t cache_entries = 0;
+  std::size_t cache_bytes = 0;     ///< packed result bytes, the --cache-mb budget's unit
+  std::uint64_t cache_evictions = 0;
+  std::uint64_t cache_rejected_oversize = 0;
+
   // Persistent-tier counters (serve/diskcache.h); all zero when the disk
   // tier is off. disk_enabled distinguishes "off" from "on but idle".
   bool disk_enabled = false;

@@ -110,6 +110,13 @@ std::string render_stats(const service_stats& s,
   j.member("bytes_in", conn.bytes_in);
   j.member("bytes_out", conn.bytes_out);
   j.end_object();
+  j.key("cache");
+  j.begin_object();
+  j.member("entries", s.cache_entries);
+  j.member("bytes", s.cache_bytes);
+  j.member("evictions", s.cache_evictions);
+  j.member("rejected_oversize", s.cache_rejected_oversize);
+  j.end_object();
   j.key("disk");
   j.begin_object();
   j.member("enabled", s.disk_enabled);

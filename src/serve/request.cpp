@@ -3,6 +3,7 @@
 #include <bit>
 #include <cmath>
 
+#include "ir/benchmarks.h"
 #include "ir/dfg_io.h"
 #include "sched/backend.h"
 
@@ -71,7 +72,7 @@ request parse_request(const json_value& object) {
       req.design.bench = value.as_string();
       ++sources;
     } else if (key == "random") {
-      req.design.random_vertices = integer_field(value, key, 1, 200000);
+      req.design.random_vertices = integer_field(value, key, 1, ir::max_design_ops);
       ++sources;
     } else if (key == "dfg") {
       if (!value.is_string() || value.as_string().empty())

@@ -80,4 +80,11 @@ std::string byte_reader::str() {
   return s;
 }
 
+std::string_view byte_reader::raw(std::size_t n) {
+  if (!take(n)) return {};
+  const std::string_view v = data_.substr(pos_, n);
+  pos_ += n;
+  return v;
+}
+
 } // namespace softsched

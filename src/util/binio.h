@@ -37,6 +37,8 @@ public:
   void i64(std::int64_t v);
   /// u64 length prefix + raw bytes.
   void str(std::string_view s);
+  /// Raw bytes, no prefix (the reader must know the length).
+  void raw(std::string_view s) { out_.append(s); }
 
   [[nodiscard]] const std::string& bytes() const noexcept { return out_; }
   [[nodiscard]] std::string take() noexcept { return std::move(out_); }
@@ -65,6 +67,9 @@ public:
   /// Reads a u64 length prefix then that many bytes; fails (empty string)
   /// when fewer remain.
   [[nodiscard]] std::string str();
+  /// The next `n` raw bytes as a view into the input; fails (empty view)
+  /// when fewer remain.
+  [[nodiscard]] std::string_view raw(std::size_t n);
 
   /// True iff every read so far stayed in bounds.
   [[nodiscard]] bool ok() const noexcept { return ok_; }

@@ -702,6 +702,32 @@ TEST(ServeDaemon, StatsControlFrameReportsLiveCounters) {
   ASSERT_NE(stats->find("hit_rate"), nullptr);
 }
 
+TEST(ServeDaemon, StatsReportsRamCacheResidencyInPackedBytes) {
+  sv::service_options opt;
+  opt.jobs = 1;
+  sv::service svc(opt);
+  std::istringstream in(R"({"id":"a","bench":"ewf","alus":2,"muls":2})" "\n");
+  std::vector<sv::response> responses;
+  (void)sv::run_batch(in, svc, [&](const sv::response& r, std::string_view) {
+    responses.push_back(r);
+  });
+  ASSERT_EQ(responses.size(), 1u);
+  ASSERT_TRUE(responses[0].error.empty()) << responses[0].error;
+  ASSERT_EQ(svc.stats().computed, 1u);
+
+  const json_value doc = parse_json(sv::render_stats(svc.stats(), {}, {}));
+  const json_value* cache = doc.find("cache");
+  ASSERT_NE(cache, nullptr);
+  EXPECT_EQ(cache->find("entries")->as_integer(0, 100), 1);
+  // The resident value is the canonical-order twin of the answer: same
+  // arrays up to order, so the same packed footprint.
+  EXPECT_EQ(cache->find("bytes")->as_integer(0, 1 << 20),
+            static_cast<long long>(responses[0].result.bytes()));
+  EXPECT_EQ(cache->find("evictions")->as_integer(0, 100), 0);
+  EXPECT_EQ(cache->find("rejected_oversize")->as_integer(0, 100), 0);
+  EXPECT_EQ(doc.find("v")->as_integer(0, 100), 1); // additive field, same wire version
+}
+
 TEST(ServeDaemon, ShutdownDrainsThenAcksAndStopsReading) {
   std::istringstream in(framed({
       R"({"id":"a","bench":"ewf"})",

@@ -22,6 +22,7 @@
 
 #include "serve/diskcache.h"
 #include "util/binio.h"
+#include "util/packed_ints.h"
 
 namespace fs = std::filesystem;
 namespace sv = softsched::serve;
@@ -58,6 +59,26 @@ sv::schedule_result infeasible_result() {
   r.feasible = false;
   r.infeasible_reason = "not enough ALUs";
   return r;
+}
+
+/// A version-2 payload for a feasible 3-op result whose start array
+/// header is (`width`, `count`) followed by `raw` bytes; every other field
+/// is well formed, so only the packed-array checks can reject it.
+std::string payload_with_starts(std::uint8_t width, std::uint64_t count, std::string_view raw) {
+  softsched::byte_writer w;
+  w.u8(1);       // feasible
+  w.str("");     // infeasible_reason
+  w.u64(3);      // ops
+  w.i64(7);      // latency
+  w.u8(width);   // start array
+  w.u64(count);
+  w.raw(raw);
+  w.u8(1);       // unit array: {0, 1, 0} at width 1
+  w.u64(3);
+  w.raw(std::string_view("\0\1\0", 3));
+  w.u64(10);     // stats field count, then the fields
+  for (int i = 0; i < 10; ++i) w.u64(0);
+  return w.take();
 }
 
 /// Fresh empty cache directory under the test's temp space.
@@ -122,6 +143,106 @@ TEST_F(persist_fixture, DecoderRejectsWrongKeyWhenExpected) {
   const std::string record = sv::disk_cache::serialize_record(key, sample_result(1));
   EXPECT_TRUE(sv::disk_cache::deserialize_record(record, &key).has_value());
   EXPECT_FALSE(sv::disk_cache::deserialize_record(record, &other).has_value());
+}
+
+TEST_F(persist_fixture, PackedArraysRoundTripAtEveryWidth) {
+  const si::dfg_digest key = key_of(20);
+  sv::schedule_result r = sample_result(11);
+  r.start_times = std::vector<long long>{0, 1LL << 40, -5}; // width 8
+  r.unit_of = std::vector<int>{-1, 70000, 2};               // width 4
+  const std::string record = sv::disk_cache::serialize_record(key, r);
+  const auto decoded = sv::disk_cache::deserialize_record(record, &key);
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_TRUE(decoded->second.same_schedule(r));
+  EXPECT_EQ(decoded->second.start_times.width(), 8u);
+  EXPECT_EQ(decoded->second.unit_of.width(), 4u);
+}
+
+TEST_F(persist_fixture, PackedPayloadStoresOneBytePerSmallValue) {
+  // 100 ops with starts < 128 and units < 128: both arrays pack to one
+  // byte per value, where record version 1 spent eight.
+  sv::schedule_result r = sample_result(12);
+  std::vector<long long> starts(100);
+  std::vector<int> units(100);
+  for (int i = 0; i < 100; ++i) {
+    starts[static_cast<std::size_t>(i)] = i;
+    units[static_cast<std::size_t>(i)] = i % 3;
+  }
+  r.ops = 100;
+  r.start_times = starts;
+  r.unit_of = units;
+  const std::string small = sv::disk_cache::serialize_record(key_of(21), sample_result(12));
+  const std::string large = sv::disk_cache::serialize_record(key_of(21), r);
+  EXPECT_EQ(large.size() - small.size(), 2u * (100 - 3));
+}
+
+// -- malformed packed arrays: checksum-valid records the decoder must refuse --
+
+TEST_F(persist_fixture, WellFormedCraftedPayloadDecodes) {
+  // The positive control for the crafted-payload cases below.
+  const si::dfg_digest key = key_of(22);
+  const std::string record = sv::disk_cache::frame_record(
+      key, payload_with_starts(1, 3, std::string_view("\0\1\4", 3)));
+  const auto decoded = sv::disk_cache::deserialize_record(record, &key);
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(decoded->second.start_times, (softsched::packed_ints{0, 1, 4}));
+}
+
+TEST_F(persist_fixture, BadPackedWidthIsCorruptNotGarbage) {
+  for (const std::uint8_t width : {0, 3, 5, 7, 16, 255}) {
+    const si::dfg_digest key = key_of(23);
+    const std::string record = sv::disk_cache::frame_record(
+        key, payload_with_starts(width, 1, std::string(width, '\0')));
+    EXPECT_FALSE(sv::disk_cache::deserialize_record(record).has_value()) << "width " << +width;
+
+    write_bytes(record_path(key), record);
+    sv::disk_cache cache(options());
+    EXPECT_EQ(cache.lookup(key), nullptr) << "width " << +width;
+    EXPECT_GE(cache.counters().corrupt_dropped, 1u) << "width " << +width;
+    EXPECT_FALSE(fs::exists(record_path(key))) << "width " << +width << ": not quarantined";
+  }
+}
+
+TEST_F(persist_fixture, PackedCountPastThePayloadIsCorrupt) {
+  // Counts whose bytes overrun what is left of the payload, including ones
+  // whose count * width would overflow 64 bits: rejected before anything
+  // is sized by the count.
+  const std::string eight(24, '\0');
+  for (const std::uint64_t count : {std::uint64_t{1000}, std::uint64_t{1} << 61,
+                                    ~std::uint64_t{0}}) {
+    const std::string record =
+        sv::disk_cache::frame_record(key_of(24), payload_with_starts(8, count, eight));
+    EXPECT_FALSE(sv::disk_cache::deserialize_record(record).has_value()) << "count " << count;
+  }
+}
+
+TEST_F(persist_fixture, VersionOneRecordIsAVersionSkewedMiss) {
+  // The version-1 payload: one i64 per value after each u64 count.
+  softsched::byte_writer w;
+  w.u8(1);
+  w.str("");
+  w.u64(3);
+  w.i64(7);
+  for (int array = 0; array < 2; ++array) {
+    w.u64(3);
+    for (int i = 0; i < 3; ++i) w.i64(i);
+  }
+  w.u64(10);
+  for (int i = 0; i < 10; ++i) w.u64(0);
+  const si::dfg_digest key = key_of(25);
+  // As written by a version-1 binary: the version gate refuses it...
+  const std::string v1 = sv::disk_cache::frame_record(key, w.bytes(), 1);
+  EXPECT_FALSE(sv::disk_cache::deserialize_record(v1).has_value());
+  // ...and relabelled as version 2, the packed-array decoder does.
+  EXPECT_FALSE(sv::disk_cache::deserialize_record(sv::disk_cache::frame_record(key, w.bytes()))
+                   .has_value());
+
+  write_bytes(record_path(key), v1);
+  sv::disk_cache cache(options());
+  EXPECT_EQ(cache.counters().recovered_entries, 0u);
+  EXPECT_EQ(cache.lookup(key), nullptr);
+  EXPECT_GE(cache.counters().corrupt_dropped, 1u);
+  EXPECT_FALSE(fs::exists(record_path(key)));
 }
 
 // -- torn writes: every truncation boundary ---------------------------------

@@ -427,9 +427,10 @@ TEST(SchedIter, QoRIsMonotoneNonWorseningInTheBudget) {
         const ss::backend_outcome r = run_once(iter, d, lib, rs, opt);
         ASSERT_TRUE(r.feasible) << name << " " << rs.label();
         EXPECT_LE(r.iterations, budget);
-        if (previous >= 0)
+        if (previous >= 0) {
           EXPECT_LE(r.latency, previous)
               << name << " " << rs.label() << " budget " << budget;
+        }
         previous = r.latency;
       }
     }

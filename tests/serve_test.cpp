@@ -16,6 +16,7 @@
 #include "serve/cache.h"
 #include "serve/daemon.h"
 #include "serve/request.h"
+#include "util/check.h"
 #include "util/json_parse.h"
 #include "util/thread_pool.h"
 
@@ -35,8 +36,8 @@ sv::schedule_result result_of(long long latency, std::size_t pad = 0) {
   r.feasible = true;
   r.ops = 1;
   r.latency = latency;
-  r.start_times.assign(pad + 1, latency);
-  r.unit_of.assign(pad + 1, 0);
+  r.start_times = std::vector<long long>(pad + 1, latency);
+  r.unit_of = std::vector<int>(pad + 1, 0);
   return r;
 }
 
@@ -500,6 +501,43 @@ TEST(ServeRequest, HostileNumericInputIsAnErrorNotUndefinedBehavior) {
   const auto responses = run_lines(svc, {R"({"id":"x","random":1e30})"});
   ASSERT_EQ(responses.size(), 1u);
   EXPECT_FALSE(responses[0].error.empty());
+}
+
+TEST(ServeEngine, SizedBenchmarkNamesAreStrictAndBounded) {
+  // fir<N>/iir<N> sizes are whole-token decimals, and no size may build a
+  // design past the 200000-op ceiling of the "random" field: an unbounded
+  // size would let one request allocate until the daemon is killed.
+  sv::service svc(serial_options());
+  const auto responses = run_lines(svc, {
+                                            R"({"id":"ok","bench":"fir8"})",
+                                            R"({"id":"junk","bench":"fir8x"})",
+                                            R"({"id":"huge","bench":"fir5000000"})",
+                                            R"({"id":"overflow","bench":"fir99999999999"})",
+                                            R"({"id":"zero","bench":"iir0"})",
+                                            R"({"id":"signed","bench":"iir-2"})",
+                                            R"({"id":"bare","bench":"fir"})",
+                                            R"({"id":"iirmax","bench":"iir25001"})",
+                                        });
+  ASSERT_EQ(responses.size(), 8u);
+  EXPECT_TRUE(responses[0].error.empty()) << responses[0].error;
+  EXPECT_EQ(responses[0].result.ops, 15u);
+  for (std::size_t i = 1; i < responses.size(); ++i) {
+    EXPECT_NE(responses[i].error.find("size must be an integer"), std::string::npos)
+        << responses[i].id << ": " << responses[i].error;
+  }
+}
+
+TEST(SizedBenchmark, LargestSizeStaysWithinTheOpCeiling) {
+  const si::resource_library lib;
+  EXPECT_NO_THROW(si::check_benchmark_name("fir100000"));
+  EXPECT_NO_THROW(si::check_benchmark_name("iir25000"));
+  EXPECT_THROW(si::check_benchmark_name("fir100001"), softsched::precondition_error);
+  EXPECT_THROW(si::check_benchmark_name("iir25001"), softsched::precondition_error);
+  EXPECT_THROW(si::check_benchmark_name("nosuch"), softsched::precondition_error);
+  EXPECT_EQ(si::make_benchmark("iir3", lib).op_count(), 24u);
+  EXPECT_EQ(si::make_benchmark("fir100000", lib).op_count(), 199999u);
+  EXPECT_LE(si::make_benchmark("iir25000", lib).op_count(),
+            static_cast<std::size_t>(si::max_design_ops));
 }
 
 TEST(ScheduleCache, OversizeReplacementKeepsResidentValue) {

@@ -1,15 +1,21 @@
-// util_test.cpp - utility layer: deterministic RNG and the ASCII table
-// writer used by the benchmark harnesses.
+// util_test.cpp - utility layer: deterministic RNG, the ASCII table
+// writer used by the benchmark harnesses, the JSON reader/writer and the
+// width-packed integer array behind cached schedule payloads.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <sstream>
+#include <vector>
 
 #include "util/check.h"
 #include "util/json.h"
 #include "util/json_parse.h"
+#include "util/packed_ints.h"
 #include "util/rng.h"
 #include "util/table.h"
 
+using softsched::packed_ints;
 using softsched::rng;
 using softsched::table;
 
@@ -200,4 +206,76 @@ TEST(JsonWriter, CompactModeIsSingleLine) {
   // And the round trip through the parser holds.
   const auto v = softsched::parse_json(os.str());
   EXPECT_EQ(v.find("a")->as_integer(0, 10), 1);
+}
+
+// -- packed_ints --------------------------------------------------------------
+
+TEST(PackedInts, WidthIsTheNarrowestThatHoldsMinAndMax) {
+  struct boundary {
+    long long lo, hi;
+    unsigned width;
+  };
+  constexpr long long two31 = 1LL << 31;
+  const boundary cases[] = {
+      {-128, 127, 1},       {-129, 0, 2},       {0, 128, 2},
+      {-32768, 32767, 2},   {-32769, 0, 4},     {0, 32768, 4},
+      {-two31, two31 - 1, 4}, {-two31 - 1, 0, 8}, {0, two31, 8},
+      {std::numeric_limits<long long>::min(), std::numeric_limits<long long>::max(), 8},
+  };
+  for (const boundary& c : cases) {
+    const packed_ints p{c.lo, c.hi};
+    EXPECT_EQ(p.width(), c.width) << c.lo << ".." << c.hi;
+    EXPECT_EQ(p.raw().size(), 2 * c.width);
+    ASSERT_EQ(p.size(), 2u);
+    EXPECT_EQ(p[0], c.lo);
+    EXPECT_EQ(p[1], c.hi);
+  }
+}
+
+TEST(PackedInts, NegativeUnitsRoundTripAtOneByte) {
+  // fds answers carry unit -1 (unbound) for every op.
+  const std::vector<int> units = {-1, -1, 0, 3, -1};
+  const packed_ints p = units;
+  EXPECT_EQ(p.width(), 1u);
+  EXPECT_EQ(std::vector<long long>(p.begin(), p.end()),
+            std::vector<long long>(units.begin(), units.end()));
+}
+
+TEST(PackedInts, EmptyArraysAreEqualWhateverTheirSource) {
+  const packed_ints none;
+  const packed_ints from_vector = std::vector<long long>{};
+  EXPECT_TRUE(none.empty());
+  EXPECT_EQ(none.size(), 0u);
+  EXPECT_EQ(none.begin(), none.end());
+  EXPECT_EQ(none, from_vector);
+  EXPECT_NE(none, (packed_ints{0}));
+}
+
+TEST(PackedInts, EqualityComparesValuesNotWidths) {
+  const packed_ints narrow{1, 2, 3};
+  const packed_ints wide = packed_ints::from_raw(
+      8, std::string("\x01\0\0\0\0\0\0\0\x02\0\0\0\0\0\0\0\x03\0\0\0\0\0\0\0", 24));
+  ASSERT_EQ(wide.width(), 8u);
+  EXPECT_EQ(narrow, wide);
+  EXPECT_NE(narrow, (packed_ints{1, 2}));
+  EXPECT_NE(narrow, (packed_ints{1, 2, 4}));
+  EXPECT_NE(narrow, (packed_ints{1, 2, 300}));
+}
+
+TEST(PackedInts, RawBytesRoundTripAndBadWidthsThrow) {
+  const packed_ints p{-40000, 7, 40000};
+  ASSERT_EQ(p.width(), 4u);
+  EXPECT_EQ(packed_ints::from_raw(p.width(), p.raw()), p);
+  EXPECT_THROW((void)packed_ints::from_raw(3, "abc"), softsched::precondition_error);
+  EXPECT_THROW((void)packed_ints::from_raw(2, "abc"), softsched::precondition_error);
+  for (const unsigned w : {0u, 3u, 5u, 16u}) EXPECT_FALSE(packed_ints::valid_width(w));
+}
+
+TEST(PackedInts, PermutedGathersAtTheSameWidth) {
+  const packed_ints p{10, -20, 30};
+  const packed_ints q = p.permuted({2, 0, 1});
+  EXPECT_EQ(q, (packed_ints{30, 10, -20}));
+  EXPECT_EQ(q.width(), p.width());
+  EXPECT_THROW((void)p.permuted({0, 1}), softsched::precondition_error);
+  EXPECT_THROW((void)p.permuted({0, 1, 3}), softsched::precondition_error);
 }

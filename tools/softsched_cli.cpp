@@ -282,8 +282,10 @@ options parse_args(int argc, char** argv) {
   if (opt.bench.rfind("random", 0) == 0) // same range as the serve "random" field
     opt.random_vertices = checked([&] {
       return static_cast<int>(
-          parse_integer(opt.bench.substr(6), 1, 200000, "--bench random<N> size"));
+          parse_integer(opt.bench.substr(6), 1, si::max_design_ops, "--bench random<N> size"));
     });
+  else if (!opt.bench.empty())
+    checked([&] { si::check_benchmark_name(opt.bench); });
   const int inputs = static_cast<int>(!opt.bench.empty()) +
                      static_cast<int>(!opt.dfg_file.empty()) +
                      static_cast<int>(!opt.beh_file.empty());
