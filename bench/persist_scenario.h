@@ -5,7 +5,7 @@
 //   reference - no disk tier; the determinism yardstick every other run's
 //               response payloads must match byte-for-byte (modulo `ms`);
 //   cold      - fresh cache directory, disk tier on: populates the store
-//               through the write-behind flusher;
+//               with synchronous record writes;
 //   warm      - a *new* service over the same directory (the warm-restart
 //               shape: RAM tier empty, disk tier recovered by the open
 //               scan). Headline metrics: warm_restart_hit_rate (disk-tier
@@ -107,15 +107,14 @@ inline bool write_persist_scenario(json_writer& j, std::uint64_t seed, unsigned 
   serve::service reference_service(plain);
   const persist_run reference = run_persist_mix(reference_service, text);
 
-  // Cold run: populate the store through write-behind, then flush so the
-  // warm run sees every record.
+  // Cold run: populate the store. Writes are synchronous, so every record
+  // is on disk once the run's responses are in.
   persist_run cold;
   serve::disk_cache_counters cold_disk;
   bool cold_match = false;
   if (dir_ok) {
     serve::service svc(base);
     cold = run_persist_mix(svc, text);
-    (void)svc.flush_disk();
     cold_disk = svc.disk()->counters();
     cold_match = same_payloads(reference.responses, cold.responses);
   }

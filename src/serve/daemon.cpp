@@ -158,7 +158,6 @@ service::service(const service_options& options)
     disk_cache_options disk;
     disk.directory = options_.cache_dir;
     disk.byte_budget = options_.disk_cache_bytes;
-    disk.flush_queue_capacity = std::max<std::size_t>(options_.disk_flush_queue, 1);
     disk.faults = options_.faults.io;
     disk_ = std::make_unique<disk_cache>(disk);
   }
@@ -240,8 +239,6 @@ void service::wait_for_room() {
     return queue_depth_.load(std::memory_order_acquire) < options_.queue_capacity;
   });
 }
-
-std::size_t service::flush_disk() { return disk_ != nullptr ? disk_->flush() : 0; }
 
 source_info service::lookup_source(const request& req) {
   const std::string sig = req.source_signature();
@@ -382,7 +379,8 @@ void service::process(std::uint64_t seq, const std::string& text, const callback
             req, source.canonical_of, context_for_current_thread()));
         compute_ms = millis_since(t0);
         if (shard_available) cache_.insert(r.key, f.result);
-        if (disk_ != nullptr) disk_->enqueue(r.key, f.result); // write-behind
+        // Synchronous: the record is on disk before any waiter sees it.
+        if (disk_ != nullptr) disk_->store(r.key, f.result);
       }
     } catch (const std::exception& e) {
       f.error = e.what();
@@ -454,8 +452,6 @@ service_stats service::stats() const {
     s.disk_evictions = d.evictions;
     s.disk_corrupt_dropped = d.corrupt_dropped;
     s.disk_io_errors = d.io_errors;
-    s.disk_queue_dropped = d.queue_dropped;
-    s.disk_flushed = d.flushed;
     s.disk_entries = d.entries;
     s.disk_bytes = d.bytes;
     s.disk_recovery_scan_ms = d.recovery_scan_ms;
@@ -625,12 +621,10 @@ connection_summary serve_connection(byte_stream& stream, service& svc,
 
   // Graceful drain: every request admitted on this connection answers
   // before it closes, whatever ended the read loop (EOF, shutdown,
-  // transport error), and the write-behind queue is flushed to disk before
-  // the final frame - a closing connection never strands warm entries.
+  // transport error). Records are stored before their responses leave,
+  // so nothing is left to flush.
   pending.wait();
-  const std::size_t flushed = svc.flush_disk();
-  if (summary.end == connection_end::shutdown_op)
-    writer.control(render_shutdown_ack(flushed));
+  if (summary.end == connection_end::shutdown_op) writer.control(render_shutdown_ack());
   summary.responses = writer.written;
   summary.write_failed = writer.failed;
   if (counters != nullptr) {

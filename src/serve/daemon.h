@@ -95,8 +95,9 @@ struct conn_fault_action {
 /// counting every record read/write attempt): `fail` reports an I/O error
 /// (the disk tier degrades to RAM-only), `torn` makes a write persist only
 /// a prefix while reporting success (the power-loss shape), and `delay_ms`
-/// stalls the operation - under the flusher mutex, which is how the CI
-/// kill-mid-write-behind leg pins its SIGKILL to a deterministic point.
+/// stalls the operation - holding the worker that stores the record under
+/// the disk-tier mutex, which is how the CI kill-mid-write leg pins its
+/// SIGKILL to a deterministic point.
 /// A `conn=<n>` rule targets the Nth connection a socket listener accepts
 /// (1-based, counting shed connections too): `drop` closes it without
 /// reading a byte (the mid-flight client-death shape, server side) and
@@ -131,11 +132,10 @@ struct service_options {
 
   // Persistent tier (docs/SERVING.md "Persistence"): enabled iff cache_dir
   // is non-empty and disk_cache_bytes > 0. RAM misses read through to disk
-  // (hits are promoted into the RAM tier); computed results are
-  // write-behind-queued for a background flusher.
+  // (hits are promoted into the RAM tier); the worker that computes a
+  // result stores it on disk before the response leaves.
   std::string cache_dir;
   std::size_t disk_cache_bytes = 0;
-  std::size_t disk_flush_queue = 256; ///< write-behind bound (>= 1)
 
   // Per-worker scheduling arenas (docs/DESIGN.md §8): off = the
   // cross-validated heap baseline; the mode can never change a response
@@ -183,12 +183,6 @@ public:
   /// guaranteed its next submit() is admitted (run_batch relies on this;
   /// a completion callback returns before its request leaves the queue).
   void wait_for_room();
-
-  /// Drains the disk tier's write-behind queue; returns how many records
-  /// this call flushed (0 when the disk tier is off). The daemon calls
-  /// this after drain() so a clean stop never loses warm entries, and
-  /// reports the count as `"flushed":<n>` in the shutdown ack.
-  std::size_t flush_disk();
 
   /// One snapshot of the live counters (the {"op":"stats"} payload).
   [[nodiscard]] service_stats stats() const;
@@ -305,10 +299,9 @@ struct connection_summary {
 /// submits everything else, and writes response frames either streaming or
 /// in input order. Always drains *this connection's* admitted requests
 /// before returning - a transport error or dead peer here never stalls or
-/// aborts other connections on the same service - and flushes the disk
-/// tier's write-behind queue so a closing connection never strands warm
-/// entries. `counters`, when given, receives this connection's closing
-/// byte totals and feeds the {"op":"stats"} "conns" object.
+/// aborts other connections on the same service. `counters`, when given,
+/// receives this connection's closing byte totals and feeds the
+/// {"op":"stats"} "conns" object.
 connection_summary serve_connection(byte_stream& stream, service& svc,
                                     const connection_options& options,
                                     connection_counters* counters = nullptr);

@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <istream>
 #include <ostream>
+#include <thread>
 #include <utility>
 
 #include "util/binio.h"
@@ -194,21 +195,8 @@ disk_cache::deserialize_record(std::string_view bytes, const ir::dfg_digest* exp
 
 disk_cache::disk_cache(const disk_cache_options& options) : options_(options) {
   SOFTSCHED_EXPECT(!options_.directory.empty(), "disk cache requires a directory");
-  if (options_.flush_queue_capacity == 0) options_.flush_queue_capacity = 1;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    scan_directory();
-  }
-  flusher_ = std::thread([this] { flusher_main(); });
-}
-
-disk_cache::~disk_cache() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stopping_ = true; // the flusher drains what is queued, then exits
-  }
-  queue_cv_.notify_all();
-  if (flusher_.joinable()) flusher_.join();
+  std::lock_guard<std::mutex> lock(mutex_);
+  scan_directory();
 }
 
 std::string disk_cache::path_of(const ir::dfg_digest& key) const {
@@ -463,56 +451,11 @@ void disk_cache::drop_record_locked(const ir::dfg_digest& key, bool corrupt) {
   if (corrupt) ++tally_.corrupt_dropped;
 }
 
-bool disk_cache::enqueue(const ir::dfg_digest& key, result_ptr value) {
-  SOFTSCHED_EXPECT(value != nullptr, "disk cache enqueue requires a value");
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (degraded_) return false;
-    if (queue_.size() >= options_.flush_queue_capacity) {
-      ++tally_.queue_dropped;
-      return false;
-    }
-    queue_.emplace_back(key, std::move(value));
-  }
-  queue_cv_.notify_one();
-  return true;
-}
-
-std::size_t disk_cache::flush() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  const std::uint64_t before = tally_.flushed;
-  queue_cv_.notify_all();
-  flushed_cv_.wait(lock, [this] { return queue_.empty() && !writing_; });
-  return static_cast<std::size_t>(tally_.flushed - before);
-}
-
-void disk_cache::flusher_main() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  for (;;) {
-    queue_cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-    if (queue_.empty()) {
-      if (stopping_) return;
-      continue;
-    }
-    auto [key, value] = std::move(queue_.front());
-    queue_.pop_front();
-    writing_ = true;
-    // The record I/O happens under the mutex on purpose: an injected
-    // io=N:delay_ms holds the flusher exactly here, which is what the CI
-    // kill-mid-write-behind leg aims its SIGKILL at.
-    if (!degraded_) store_locked(key, *value);
-    ++tally_.flushed;
-    writing_ = false;
-    if (queue_.empty()) flushed_cv_.notify_all();
-  }
-}
-
 disk_cache_counters disk_cache::counters() const {
   std::lock_guard<std::mutex> lock(mutex_);
   disk_cache_counters out = tally_;
   out.entries = index_.size();
   out.bytes = bytes_;
-  out.queue_depth = queue_.size() + (writing_ ? 1 : 0);
   out.degraded = degraded_;
   return out;
 }

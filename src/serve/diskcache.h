@@ -1,8 +1,8 @@
 // diskcache.h - the persistent tier below the RAM schedule cache
 // (serve/cache.h): a content-addressed on-disk store of serialized
 // schedule_result records, keyed by the same process-stable 128-bit
-// schedule_key, with its own byte budget and LRU eviction, a bounded
-// write-behind flusher, and export/import so a fleet can ship warm caches.
+// schedule_key, with its own byte budget and LRU eviction, synchronous
+// record writes, and export/import so a fleet can ship warm caches.
 //
 // The governing invariant is **degrade, never lie**:
 //
@@ -44,18 +44,22 @@
 // Concurrency: one mutex serializes index/LRU/counters *and* the record
 // I/O. This tier sits below a RAM miss - the slow path by construction -
 // and holding the lock across the (small) file read/write keeps the
-// index/filesystem agreement trivially correct. The background flusher
-// takes the same mutex per record. Readers in *other processes* share no
-// lock; they are protected by record validation alone (a half-written
-// record reads as corrupt -> miss), which is exactly the crash-tolerance
-// property and is pinned in tests/persist_test.cpp.
+// index/filesystem agreement trivially correct. Writes are synchronous:
+// the service worker that computed a schedule stores its record under the
+// same mutex before the response leaves, so a record is on disk once its
+// answer is out and no drain path needs a flush. Readers in *other
+// processes* share no lock; they are protected by record validation alone
+// (a half-written record reads as corrupt -> miss), which is exactly the
+// crash-tolerance property and is pinned in tests/persist_test.cpp.
 //
 // Fault injection: disk_fault_plan targets the Nth disk operation (1-based
 // count of record read/write attempts, in order) with delay / fail / torn
-// actions - `fail` is a reported I/O error (degrades the tier), `torn`
-// writes a prefix of the record and *pretends success* (the kill -9 /
-// power-loss shape: bytes partially hit disk and nobody knew). Parsed from
-// SOFTSCHED_INJECT's `io=` rules (serve/daemon.h).
+// actions - `delay` stalls the operation under the mutex (so a delayed
+// write holds the storing worker there), `fail` is a reported I/O error
+// (degrades the tier), `torn` writes a prefix of the record and *pretends
+// success* (the kill -9 / power-loss shape: bytes partially hit disk and
+// nobody knew). Parsed from SOFTSCHED_INJECT's `io=` rules
+// (serve/daemon.h).
 #pragma once
 
 #include <cstdint>
@@ -65,10 +69,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <unordered_map>
-#include <condition_variable>
-#include <deque>
 
 #include "serve/cache.h"
 
@@ -93,13 +94,12 @@ struct disk_fault_plan {
 struct disk_cache_options {
   std::string directory;                  ///< must be non-empty
   std::size_t byte_budget = 256ull << 20; ///< payload+header bytes on disk
-  std::size_t flush_queue_capacity = 256; ///< write-behind bound (>= 1)
   bool sync_writes = false;               ///< fsync each record before success
   disk_fault_plan faults;                 ///< empty = no injection
 };
 
-/// Cumulative disk-tier counters (all monotone except entries/bytes/
-/// queue_depth, which describe current residency).
+/// Cumulative disk-tier counters (all monotone except entries/bytes,
+/// which describe current residency).
 struct disk_cache_counters {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;          ///< includes degraded-mode fast misses
@@ -108,11 +108,8 @@ struct disk_cache_counters {
   std::uint64_t rejected_oversize = 0;
   std::uint64_t corrupt_dropped = 0; ///< invalid records quarantined
   std::uint64_t io_errors = 0;       ///< real I/O failures (each may degrade)
-  std::uint64_t queue_dropped = 0;   ///< write-behind entries shed (queue full)
-  std::uint64_t flushed = 0;         ///< write-behind entries drained to disk
   std::size_t entries = 0;
   std::size_t bytes = 0;
-  std::size_t queue_depth = 0;       ///< write-behind entries not yet on disk
   bool degraded = false;
   double recovery_scan_ms = 0;       ///< open-time directory scan duration
   std::uint64_t recovered_entries = 0; ///< records indexed by the open scan
@@ -126,7 +123,7 @@ struct disk_import_summary {
 };
 
 /// The persistent schedule-cache tier. Thread-safe. Never throws from
-/// lookup/store/flush (constructor may throw precondition_error on an
+/// lookup/store (constructor may throw precondition_error on an
 /// empty directory string only - everything filesystem-shaped degrades
 /// instead).
 class disk_cache {
@@ -139,9 +136,6 @@ public:
   /// cache constructed but degraded.
   explicit disk_cache(const disk_cache_options& options);
 
-  /// Flushes the write-behind queue, then joins the flusher.
-  ~disk_cache();
-
   disk_cache(const disk_cache&) = delete;
   disk_cache& operator=(const disk_cache&) = delete;
 
@@ -151,22 +145,10 @@ public:
   /// RAM tier preserves the response-byte determinism contract.
   [[nodiscard]] result_ptr lookup(const ir::dfg_digest& key);
 
-  /// Synchronous write (also the flusher's backend): serialize, persist,
-  /// index, evict LRU records past the budget. Oversize values are
-  /// rejected; I/O failures degrade.
+  /// Synchronous write: serialize, persist, index, evict LRU records past
+  /// the budget, all under the mutex. Oversize values are rejected; I/O
+  /// failures degrade; a degraded tier drops the write.
   void store(const ir::dfg_digest& key, result_ptr value);
-
-  /// Write-behind: enqueue for the background flusher. Returns false (and
-  /// counts queue_dropped) when the bounded queue is full - the RAM tier
-  /// still has the value; losing a write-behind is a future cold miss,
-  /// never an error.
-  bool enqueue(const ir::dfg_digest& key, result_ptr value);
-
-  /// Blocks until every currently queued write-behind record is on disk
-  /// (or dropped by degradation); returns how many this call drained. The
-  /// daemon's drain path calls this so a clean stop never loses warm
-  /// entries, and reports the count in the shutdown ack.
-  std::size_t flush();
 
   [[nodiscard]] disk_cache_counters counters() const;
   [[nodiscard]] bool degraded() const;
@@ -234,24 +216,15 @@ private:
                                        const disk_fault_action& fault);
   [[nodiscard]] bool read_record_file(const std::string& path, std::string& out,
                                       const disk_fault_action& fault, bool& missing);
-  void flusher_main();
 
   disk_cache_options options_;
   mutable std::mutex mutex_;
   lru_list lru_; ///< front = most recently used
   std::unordered_map<ir::dfg_digest, lru_list::iterator, ir::dfg_digest_hash> index_;
-  disk_cache_counters tally_; ///< entries/bytes/queue_depth derived on read
+  disk_cache_counters tally_; ///< entries/bytes derived on read
   std::size_t bytes_ = 0;
   bool degraded_ = false;
   std::uint64_t op_counter_ = 0; ///< injection op index (under mutex_)
-
-  // Write-behind queue + flusher thread.
-  std::condition_variable queue_cv_;   ///< signals the flusher: work or stop
-  std::condition_variable flushed_cv_; ///< signals flush(): queue went empty
-  std::deque<std::pair<ir::dfg_digest, result_ptr>> queue_;
-  bool writing_ = false; ///< flusher holds a dequeued record not yet stored
-  bool stopping_ = false;
-  std::thread flusher_;
 };
 
 } // namespace softsched::serve

@@ -91,8 +91,6 @@ struct service_stats {
   std::uint64_t disk_evictions = 0;
   std::uint64_t disk_corrupt_dropped = 0; ///< invalid records quarantined
   std::uint64_t disk_io_errors = 0;
-  std::uint64_t disk_queue_dropped = 0; ///< write-behinds shed (queue full)
-  std::uint64_t disk_flushed = 0;       ///< write-behinds drained to disk
   std::size_t disk_entries = 0;
   std::size_t disk_bytes = 0;
   double disk_recovery_scan_ms = 0;       ///< open-time directory scan

@@ -7,14 +7,18 @@ namespace softsched::serve {
 arena_flag parse_arena_flag(const std::string& value) {
   if (value == "on") return {true, 0};
   if (value == "off") return {false, 0};
+  // A user-facing flag value, not an internal invariant: the message is the
+  // whole error, without SOFTSCHED_EXPECT's file:line prefix.
+  const auto reject = [&] {
+    throw precondition_error(
+        "--arena must be on, off, or a positive block byte count, got '" + value + "'");
+  };
   std::size_t bytes = 0;
   for (const char c : value) {
-    SOFTSCHED_EXPECT(c >= '0' && c <= '9',
-                     "--arena must be on, off, or a positive block byte count");
+    if (c < '0' || c > '9') reject();
     bytes = bytes * 10 + static_cast<std::size_t>(c - '0');
   }
-  SOFTSCHED_EXPECT(!value.empty() && bytes > 0,
-                   "--arena must be on, off, or a positive block byte count");
+  if (value.empty() || bytes == 0) reject();
   return {true, bytes};
 }
 

@@ -127,8 +127,6 @@ std::string render_stats(const service_stats& s,
   j.member("evictions", s.disk_evictions);
   j.member("corrupt_dropped", s.disk_corrupt_dropped);
   j.member("io_errors", s.disk_io_errors);
-  j.member("queue_dropped", s.disk_queue_dropped);
-  j.member("flushed", s.disk_flushed);
   j.member("entries", s.disk_entries);
   j.member("bytes", s.disk_bytes);
   j.member("recovery_scan_ms", s.disk_recovery_scan_ms);
@@ -149,15 +147,6 @@ std::string render_connection_shed(double retry_after_ms) {
   return std::move(oss).str();
 }
 
-std::string render_shutdown_ack(std::size_t flushed) {
-  std::ostringstream oss;
-  json_writer j(oss, /*compact=*/true);
-  j.begin_object();
-  j.member("op", "shutdown");
-  j.member("drained", true);
-  j.member("flushed", flushed);
-  j.end_object();
-  return std::move(oss).str();
-}
+std::string render_shutdown_ack() { return R"({"op":"shutdown","drained":true})"; }
 
 } // namespace softsched::serve

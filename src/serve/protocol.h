@@ -79,7 +79,7 @@ struct connection_view {
 [[nodiscard]] std::string render_connection_shed(double retry_after_ms);
 
 /// The shutdown ack, always the final frame of its connection:
-/// {"op":"shutdown","drained":true,"flushed":<n>}.
-[[nodiscard]] std::string render_shutdown_ack(std::size_t flushed);
+/// {"op":"shutdown","drained":true}.
+[[nodiscard]] std::string render_shutdown_ack();
 
 } // namespace softsched::serve

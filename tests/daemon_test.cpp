@@ -746,7 +746,7 @@ TEST(ServeDaemon, ShutdownDrainsThenAcksAndStopsReading) {
   const std::vector<std::string> payloads = unframed(out.str());
   ASSERT_EQ(payloads.size(), 3u);
   // Pre-shutdown requests all answered; the ack is the final frame.
-  EXPECT_EQ(payloads.back(), R"({"op":"shutdown","drained":true,"flushed":0})");
+  EXPECT_EQ(payloads.back(), R"({"op":"shutdown","drained":true})");
   for (std::size_t i = 0; i + 1 < payloads.size(); ++i)
     EXPECT_EQ(parse_json(payloads[i]).find("op"), nullptr);
 }
@@ -1069,7 +1069,7 @@ TEST(SocketDaemon, HelloNegotiatesVersionTransportsAndCaps) {
   ASSERT_TRUE(sv::write_frame(*client, R"({"op":"shutdown"})"));
   const std::vector<std::string> rest = read_to_eof(*client);
   ASSERT_EQ(rest.size(), 1u);
-  EXPECT_EQ(rest[0], sv::render_shutdown_ack(0));
+  EXPECT_EQ(rest[0], sv::render_shutdown_ack());
   const sv::socket_server_summary s = daemon.finish();
   EXPECT_TRUE(s.shutdown_requested);
 }

@@ -7,11 +7,12 @@
 // The matrix walks *every* byte boundary for torn writes and *every* byte
 // position for bit flips, first through the decoder (cheap, exhaustive)
 // and then through the full open-scan-lookup path on real files. The
-// kill-mid-flush shape is reproduced with `torn` write injection (a
+// kill-mid-write shape is reproduced with `torn` write injection (a
 // prefix of the record hits disk and success is reported anyway); the CI
 // persist job additionally kills a live daemon with SIGKILL and replays.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -20,6 +21,7 @@
 #include <thread>
 #include <vector>
 
+#include "serve/daemon.h"
 #include "serve/diskcache.h"
 #include "util/binio.h"
 #include "util/packed_ints.h"
@@ -401,18 +403,17 @@ TEST_F(persist_fixture, BudgetEvictsLeastRecentlyUsedRecordsFromDisk) {
   EXPECT_EQ(cache.lookup(key_of(20)), nullptr); // oldest evicted
 }
 
-// -- write-behind -----------------------------------------------------------
+// -- synchronous writes ------------------------------------------------------
 
-TEST_F(persist_fixture, EnqueueFlushPersistsAndSurvivesReopen) {
+TEST_F(persist_fixture, StorePersistsAndSurvivesReopen) {
   const sv::schedule_result r = sample_result(12);
   {
     sv::disk_cache cache(options());
     for (std::uint64_t i = 0; i < 10; ++i)
-      EXPECT_TRUE(cache.enqueue(key_of(30 + i), std::make_shared<const sv::schedule_result>(r)));
-    const std::size_t drained = cache.flush();
-    EXPECT_LE(drained, 10u); // flusher may have raced ahead of flush()
-    EXPECT_EQ(cache.counters().flushed, 10u);
-    EXPECT_EQ(cache.counters().queue_depth, 0u);
+      cache.store(key_of(30 + i), std::make_shared<const sv::schedule_result>(r));
+    // store() returns with the record on disk: nothing is pending.
+    EXPECT_EQ(cache.counters().writes, 10u);
+    EXPECT_EQ(cache.counters().entries, 10u);
   }
   sv::disk_cache reopened(options());
   EXPECT_EQ(reopened.counters().recovered_entries, 10u);
@@ -423,26 +424,78 @@ TEST_F(persist_fixture, EnqueueFlushPersistsAndSurvivesReopen) {
   }
 }
 
-TEST_F(persist_fixture, FullQueueShedsInsteadOfBlocking) {
-  sv::disk_cache_options o = options();
-  o.flush_queue_capacity = 2;
-  // Pin the flusher on the first record so the queue genuinely fills.
-  o.faults.ops[1] = sv::disk_fault_action{60.0, false, false};
-  sv::disk_cache cache(o);
-  std::uint64_t accepted = 0;
-  for (std::uint64_t i = 0; i < 16; ++i)
-    if (cache.enqueue(key_of(50 + i), std::make_shared<const sv::schedule_result>(sample_result(i))))
-      ++accepted;
-  EXPECT_LT(accepted, 16u);
-  (void)cache.flush();
+TEST_F(persist_fixture, ConcurrentStoreAndLookupKeepOneEntryPerKey) {
+  // Service workers store and look up on one shared tier. Threads race on
+  // overlapping key sets: the index must end with exactly one entry per
+  // distinct key, and every hit must be the value stored for that key.
+  constexpr unsigned threads = 4;
+  constexpr std::uint64_t keys = 24;
+  sv::disk_cache cache(options());
+  std::vector<std::thread> pool;
+  for (unsigned t = 0; t < threads; ++t)
+    pool.emplace_back([&cache, t] {
+      for (int pass = 0; pass < 3; ++pass)
+        for (std::uint64_t i = 0; i < keys; ++i) {
+          const std::uint64_t k = (i + t * 5) % keys;
+          if (const auto hit = cache.lookup(key_of(300 + k))) {
+            EXPECT_TRUE(hit->same_schedule(sample_result(k))) << "key " << k;
+          } else {
+            cache.store(key_of(300 + k),
+                        std::make_shared<const sv::schedule_result>(sample_result(k)));
+          }
+        }
+    });
+  for (std::thread& t : pool) t.join();
   const sv::disk_cache_counters c = cache.counters();
-  EXPECT_EQ(c.queue_dropped, 16u - accepted);
-  EXPECT_EQ(c.flushed, accepted);
+  EXPECT_FALSE(c.degraded);
+  EXPECT_EQ(c.entries, keys);
+  EXPECT_EQ(c.corrupt_dropped, 0u);
+  for (std::uint64_t k = 0; k < keys; ++k) {
+    const auto hit = cache.lookup(key_of(300 + k));
+    ASSERT_NE(hit, nullptr) << "key " << k << " missing";
+    EXPECT_TRUE(hit->same_schedule(sample_result(k)));
+  }
 }
 
-// -- concurrent reader during flush -----------------------------------------
+TEST_F(persist_fixture, ServiceDrainLeavesEveryComputedRecordOnDisk) {
+  // The worker that computes a schedule stores its record before the
+  // response leaves, so drain() alone - no flush step - settles the tier.
+  const std::vector<std::string> lines = {
+      R"({"bench":"ewf","alus":2,"muls":2})", R"({"bench":"ewf","alus":3,"muls":2})",
+      R"({"bench":"hal","backend":"list"})",  R"({"bench":"fig1","backend":"fds"})",
+      R"({"bench":"ewf","alus":2,"muls":2})", // repeat: a hit, not a second write
+      R"({"random":12,"seed":5,"backend":"sdc-iter"})",
+  };
+  sv::service_options opt;
+  opt.jobs = 3;
+  opt.cache_dir = dir_.string();
+  opt.disk_cache_bytes = 1u << 20;
+  std::uint64_t computed = 0;
+  {
+    sv::service svc(opt);
+    std::atomic<std::uint64_t> errors{0};
+    for (std::size_t i = 0; i < lines.size(); ++i)
+      ASSERT_TRUE(svc.submit(i + 1, lines[i], [&errors](sv::response r) {
+        if (!r.error.empty()) errors.fetch_add(1);
+      }));
+    svc.drain();
+    EXPECT_EQ(errors.load(), 0u);
+    const sv::service_stats s = svc.stats();
+    computed = s.computed;
+    EXPECT_GE(computed, 5u);
+    EXPECT_EQ(s.disk_writes, computed);
+    EXPECT_EQ(s.disk_entries, computed);
+  }
+  sv::disk_cache reopened(options());
+  EXPECT_EQ(reopened.counters().recovered_entries, computed);
+  std::ostringstream exported; // export_to checksums every record it ships
+  EXPECT_EQ(reopened.export_to(exported), std::optional<std::uint64_t>(computed));
+  EXPECT_EQ(reopened.counters().corrupt_dropped, 0u);
+}
 
-TEST_F(persist_fixture, ConcurrentForeignReaderDuringFlushNeverSeesAWrongAnswer) {
+// -- concurrent foreign reader during writes ---------------------------------
+
+TEST_F(persist_fixture, ConcurrentForeignReaderDuringStoreNeverSeesAWrongAnswer) {
   // A second disk_cache over the same directory plays the "other process"
   // reader: no shared lock, protected only by record validation. Every
   // lookup must return either nullptr or the exact stored value.
@@ -461,8 +514,7 @@ TEST_F(persist_fixture, ConcurrentForeignReaderDuringFlushNeverSeesAWrongAnswer)
       }
   });
   for (std::uint64_t i = 0; i < n; ++i)
-    writer.enqueue(key_of(100 + i), std::make_shared<const sv::schedule_result>(r));
-  (void)writer.flush();
+    writer.store(key_of(100 + i), std::make_shared<const sv::schedule_result>(r));
   t.join();
   EXPECT_FALSE(writer.degraded());
   // The reader's misses may have quarantined records it saw mid-write; the
@@ -470,9 +522,9 @@ TEST_F(persist_fixture, ConcurrentForeignReaderDuringFlushNeverSeesAWrongAnswer)
   // but *correctness* held throughout, which is the property under test.
 }
 
-// -- kill mid-flush (torn write injection) ----------------------------------
+// -- kill mid-write (torn write injection) -----------------------------------
 
-TEST_F(persist_fixture, TornWriteBehindReopensToZeroWrongAnswers) {
+TEST_F(persist_fixture, TornStoreReopensToZeroWrongAnswers) {
   constexpr std::uint64_t n = 6;
   std::vector<sv::schedule_result> values;
   for (std::uint64_t i = 0; i < n; ++i) values.push_back(sample_result(100 + i));
@@ -483,8 +535,8 @@ TEST_F(persist_fixture, TornWriteBehindReopensToZeroWrongAnswers) {
     o.faults.ops[3] = sv::disk_fault_action{0, false, true};
     sv::disk_cache cache(o);
     for (std::uint64_t i = 0; i < n; ++i)
-      cache.enqueue(key_of(200 + i), std::make_shared<const sv::schedule_result>(values[i]));
-    (void)cache.flush();
+      cache.store(key_of(200 + i),
+                  std::make_shared<const sv::schedule_result>(values[i]));
     EXPECT_FALSE(cache.degraded());
   }
   sv::disk_cache reopened(options());
@@ -512,7 +564,6 @@ TEST_F(persist_fixture, InjectedWriteFailureDegradesToInertTier) {
   EXPECT_GE(c.io_errors, 1u);
   // Degraded tier is inert: lookups miss fast, writes are dropped silently.
   EXPECT_EQ(cache.lookup(key_of(60)), nullptr);
-  EXPECT_FALSE(cache.enqueue(key_of(61), std::make_shared<const sv::schedule_result>(sample_result(15))));
   cache.store(key_of(62), std::make_shared<const sv::schedule_result>(sample_result(16)));
   EXPECT_EQ(cache.counters().entries, 0u);
 }

@@ -12,6 +12,7 @@
 //   softsched_cli --compare --bench ewf --alus 2 --muls 2
 //   softsched_cli --explore --bench ewf --backend all --jobs 8
 //   softsched_cli --serve-batch requests.jsonl --out responses.jsonl --jobs 8
+#include <algorithm>
 #include <charconv>
 #include <cstdlib>
 #include <fstream>
@@ -174,14 +175,20 @@ long long parse_integer(const std::string& token, long long lo, long long hi,
   return value;
 }
 
-// A DSE axis: "lo:hi" or a single "n", each bound in [0, hi].
-se::axis_range parse_axis(const std::string& spec, const std::string& flag, int hi) {
+// A DSE axis: "lo:hi" or a single "n", each bound in [lo_min, hi_max] and
+// lo <= hi (a reversed axis would be an empty grid, not an exploration).
+se::axis_range parse_axis(const std::string& spec, const std::string& flag, int lo_min,
+                          int hi_max) {
   const auto colon = spec.find(':');
   const auto bound = [&](const std::string& token) {
-    return static_cast<int>(parse_integer(token, 0, hi, flag + " bound"));
+    return static_cast<int>(parse_integer(token, lo_min, hi_max, flag + " bound"));
   };
   if (colon == std::string::npos) return {bound(spec), bound(spec)};
-  return {bound(spec.substr(0, colon)), bound(spec.substr(colon + 1))};
+  const se::axis_range axis{bound(spec.substr(0, colon)), bound(spec.substr(colon + 1))};
+  if (axis.lo > axis.hi)
+    throw softsched::precondition_error(flag + " must be lo:hi with lo <= hi, got '" +
+                                        spec + "'");
+  return axis;
 }
 
 // --wire <from>:<to>:<delay>.
@@ -193,6 +200,38 @@ wire_spec parse_wire(const std::string& spec) {
                                         "'");
   const long long delay = parse_integer(spec.substr(c2 + 1), 1, 1'000'000, "--wire delay");
   return {spec.substr(0, c1), spec.substr(c1 + 1, c2 - c1 - 1), static_cast<int>(delay)};
+}
+
+sm::meta_kind parse_meta(const std::string& name) {
+  if (name == "dfs") return sm::meta_kind::depth_first;
+  if (name == "topo") return sm::meta_kind::topological;
+  if (name == "path") return sm::meta_kind::path_based;
+  if (name == "list") return sm::meta_kind::list_priority;
+  if (name == "random") return sm::meta_kind::random;
+  throw softsched::precondition_error(
+      "--meta must be dfs, topo, path, list or random, got '" + name + "'");
+}
+
+// "all", one registry name, or a comma list; every name is resolved before
+// anything runs so a typo fails fast.
+std::vector<std::string> parse_backend_list(const std::string& spec) {
+  if (spec.empty()) return {"soft"};
+  if (spec == "all") return ss::backend_names();
+  std::vector<std::string> names;
+  std::size_t pos = 0;
+  for (;;) {
+    const auto comma = spec.find(',', pos);
+    const std::string name =
+        comma == std::string::npos ? spec.substr(pos) : spec.substr(pos, comma - pos);
+    if (ss::find_backend(name) == nullptr)
+      throw softsched::precondition_error("--backend: unknown scheduler backend '" +
+                                          name + "' (expected " +
+                                          ss::backend_names_joined() + ")");
+    names.push_back(name);
+    if (comma == std::string::npos) break;
+    pos = comma + 1;
+  }
+  return names;
 }
 
 options parse_args(int argc, char** argv) {
@@ -215,10 +254,10 @@ options parse_args(int argc, char** argv) {
     return checked([&] { return parse_integer(value, lo, hi, flag); });
   };
   auto count = [&](int& i, int lo, int hi) { return static_cast<int>(number(i, lo, hi)); };
-  auto axis = [&](int& i, int hi) {
+  auto axis = [&](int& i, int lo, int hi) {
     const std::string flag = argv[i];
     const std::string value = need(i);
-    return checked([&] { return parse_axis(value, flag, hi); });
+    return checked([&] { return parse_axis(value, flag, lo, hi); });
   };
   // Same ranges as the serve request fields of the same name.
   constexpr int max_units = 1'000'000;
@@ -245,12 +284,12 @@ options parse_args(int argc, char** argv) {
     }
     else if (arg == "--explore") opt.explore = true;
     else if (arg == "--jobs") { opt.jobs = count(i, 0, 1024); opt.serve_flags.jobs = opt.jobs; }
-    else if (arg == "--alus-range") opt.alus_axis = axis(i, max_units);
-    else if (arg == "--muls-range") opt.muls_axis = axis(i, max_units);
-    else if (arg == "--mems-range") opt.mems_axis = axis(i, max_units);
-    else if (arg == "--mul-lat-range") opt.mul_lat_axis = axis(i, 64);
+    else if (arg == "--alus-range") opt.alus_axis = axis(i, 0, max_units);
+    else if (arg == "--muls-range") opt.muls_axis = axis(i, 0, max_units);
+    else if (arg == "--mems-range") opt.mems_axis = axis(i, 0, max_units);
+    else if (arg == "--mul-lat-range") opt.mul_lat_axis = axis(i, 1, 64);
     else if (arg == "--iter-budget-range")
-      opt.iter_budget_axis = axis(i, ss::sdc_iter_max_budget);
+      opt.iter_budget_axis = axis(i, 0, ss::sdc_iter_max_budget);
     else if (arg == "--explore-out") opt.explore_out = need(i);
     else if (arg == "--serve-batch") opt.serve_batch = need(i);
     else if (arg == "--serve") {
@@ -286,6 +325,25 @@ options parse_args(int argc, char** argv) {
     });
   else if (!opt.bench.empty())
     checked([&] { si::check_benchmark_name(opt.bench); });
+  // Named values are checked here too, so a typo is a usage error naming
+  // its flag rather than a failure once the run has started.
+  checked([&] { (void)sv::parse_arena_flag(opt.serve_flags.arena); });
+  checked([&] { (void)parse_meta(opt.meta); });
+  const std::vector<std::string> backends =
+      checked([&] { return parse_backend_list(opt.backend); });
+  // Same non-silence rule as the serve iter_budget field: a budget that no
+  // selected backend reads must not look honored.
+  const auto is_iterative = [](const std::string& b) {
+    return ss::get_backend(b).caps().iterative;
+  };
+  const bool iterative =
+      opt.compare || std::any_of(backends.begin(), backends.end(), is_iterative);
+  if (!iterative && (opt.iter_budget >= 0 || opt.iter_budget_axis)) {
+    const std::string flag =
+        opt.iter_budget_axis ? "--iter-budget-range" : "--iter-budget";
+    usage(argv[0], flag + " needs an iterative backend (--backend sdc-iter, a list "
+                          "with it, all, or --compare)");
+  }
   const int inputs = static_cast<int>(!opt.bench.empty()) +
                      static_cast<int>(!opt.dfg_file.empty()) +
                      static_cast<int>(!opt.beh_file.empty());
@@ -319,34 +377,6 @@ si::dfg load_design(const options& opt, const si::resource_library& lib) {
   std::ostringstream text;
   text << in.rdbuf();
   return sl::compile_behavior(text.str(), opt.beh_file, lib);
-}
-
-sm::meta_kind parse_meta(const std::string& name) {
-  if (name == "dfs") return sm::meta_kind::depth_first;
-  if (name == "topo") return sm::meta_kind::topological;
-  if (name == "path") return sm::meta_kind::path_based;
-  if (name == "list") return sm::meta_kind::list_priority;
-  if (name == "random") return sm::meta_kind::random;
-  throw softsched::precondition_error("unknown meta schedule '" + name + "'");
-}
-
-// "all", one registry name, or a comma list; every name is resolved before
-// anything runs so a typo fails fast.
-std::vector<std::string> parse_backend_list(const std::string& spec) {
-  if (spec.empty()) return {"soft"};
-  if (spec == "all") return ss::backend_names();
-  std::vector<std::string> names;
-  std::size_t pos = 0;
-  for (;;) {
-    const auto comma = spec.find(',', pos);
-    const std::string name =
-        comma == std::string::npos ? spec.substr(pos) : spec.substr(pos, comma - pos);
-    (void)ss::get_backend(name);
-    names.push_back(name);
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  return names;
 }
 
 // The one validated scheduling surface, mirroring serve/options.h: backend
@@ -523,12 +553,11 @@ int run_explore(const options& opt, const scheduling_config& cfg) {
 void report_disk_tier(const sv::service_stats& s) {
   if (!s.disk_enabled) return;
   std::cerr << "serve: disk tier: " << s.disk_hits << " disk hits, " << s.disk_misses
-            << " disk misses, " << s.disk_writes << " writes, " << s.disk_flushed
-            << " flushed, " << s.disk_evictions << " evictions, "
-            << s.disk_corrupt_dropped << " corrupt dropped, " << s.disk_io_errors
-            << " io errors; recovered " << s.disk_recovered_entries << " entries in "
-            << s.disk_recovery_scan_ms << " ms; " << s.disk_entries << " entries, "
-            << s.disk_bytes << " bytes"
+            << " disk misses, " << s.disk_writes << " writes, " << s.disk_evictions
+            << " evictions, " << s.disk_corrupt_dropped << " corrupt dropped, "
+            << s.disk_io_errors << " io errors; recovered " << s.disk_recovered_entries
+            << " entries in " << s.disk_recovery_scan_ms << " ms; " << s.disk_entries
+            << " entries, " << s.disk_bytes << " bytes"
             << (s.disk_degraded ? "; DEGRADED (RAM-only)" : "") << "\n";
 }
 
@@ -569,7 +598,6 @@ int run_serve_batch(const options& opt) {
   if (!out) throw softsched::precondition_error("failed to write responses");
 
   svc.drain(); // `completed` (behind hit_rate and qps) counts after each callback
-  (void)svc.flush_disk(); // report settled counters, not a mid-flush snapshot
   const sv::service_stats s = svc.stats();
   const sv::cache_counters cc = svc.cache().counters();
   std::cerr << "serve: " << requests << " requests on " << svc.jobs() << " jobs: "
@@ -625,7 +653,6 @@ int run_socket_daemon(const sv::daemon_options& dopt, const sv::listen_spec& spe
   const sv::socket_server_summary summary = server.run();
 
   svc.drain();
-  (void)svc.flush_disk();
   const sv::service_stats s = svc.stats();
   report_daemon(summary.requests, s, dopt.service.queue_capacity,
                 summary.shutdown_requested, /*transport_error=*/false, summary.conns);
