@@ -29,7 +29,7 @@
 // The mix and phase sizes are fixed (no --quick scaling) so the CI gate
 // always compares like against like. SOFTSCHED_INJECT is honored - the
 // nightly injected-storm leg replays this scenario with a slot delay and a
-// failed cache shard to prove the SLO story holds degraded.
+// failed RAM cache to prove the SLO story holds degraded.
 #pragma once
 
 #include <algorithm>

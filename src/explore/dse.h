@@ -1,5 +1,5 @@
 // dse.h - the design-space exploration engine: fan one design out over a
-// resource/latency grid on the work-stealing thread pool, soft-schedule
+// resource/latency grid on the FIFO thread pool, soft-schedule
 // every point, and reduce the outcomes to an area/latency Pareto frontier.
 //
 // Concurrency contract (docs/DESIGN.md §5): a grid point is a share-nothing

@@ -18,6 +18,15 @@ std::string_view meta_name(meta_kind kind) noexcept {
   return "unknown";
 }
 
+std::optional<meta_kind> meta_kind_named(std::string_view name) noexcept {
+  if (name == "dfs") return meta_kind::depth_first;
+  if (name == "topo") return meta_kind::topological;
+  if (name == "path") return meta_kind::path_based;
+  if (name == "list") return meta_kind::list_priority;
+  if (name == "random") return meta_kind::random;
+  return std::nullopt;
+}
+
 namespace {
 
 /// The one list-priority implementation, on caller-owned buffers. The

@@ -11,6 +11,7 @@
 // stay *correct* under any permutation; quality is what varies.
 #pragma once
 
+#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -37,6 +38,12 @@ inline constexpr meta_kind figure3_meta_kinds[] = {
 
 /// Paper-style display name ("meta sched1" ... "meta sched4", "random").
 [[nodiscard]] std::string_view meta_name(meta_kind kind) noexcept;
+
+/// The short name users type ("dfs", "topo", "path", "list", "random"),
+/// shared by the CLI's --meta and the serve request's "meta" field;
+/// nullopt for any other text. Callers that need a reproducible schedule
+/// reject `random` themselves.
+[[nodiscard]] std::optional<meta_kind> meta_kind_named(std::string_view name) noexcept;
 
 /// Computes the vertex order for a deterministic meta schedule. `kind`
 /// must not be meta_kind::random (that overload needs an rng).

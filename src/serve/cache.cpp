@@ -16,32 +16,15 @@ bool schedule_result::same_schedule(const schedule_result& other) const {
          stats == other.stats;
 }
 
-schedule_cache::schedule_cache(std::size_t byte_budget, unsigned shard_count) {
-  if (shard_count < 1) shard_count = 1;
-  shards_.reserve(shard_count);
-  for (unsigned i = 0; i < shard_count; ++i) shards_.push_back(std::make_unique<shard>());
-  shard_budget_ = byte_budget / shard_count;
-}
-
-unsigned schedule_cache::shard_index(const ir::dfg_digest& key) const noexcept {
-  const std::uint64_t spread = key.hi ^ (key.hi >> 32) ^ (key.lo << 1);
-  return static_cast<unsigned>(spread % shards_.size());
-}
-
-schedule_cache::shard& schedule_cache::shard_of(const ir::dfg_digest& key) {
-  return *shards_[shard_index(key)];
-}
-
 schedule_cache::result_ptr schedule_cache::lookup(const ir::dfg_digest& key) {
-  shard& s = shard_of(key);
-  const std::lock_guard<std::mutex> lock(s.mutex);
-  const auto it = s.index.find(key);
-  if (it == s.index.end()) {
-    ++s.tally.misses;
+  const std::lock_guard<std::mutex> lock(mutex_);
+  const auto it = index_.find(key);
+  if (it == index_.end()) {
+    ++tally_.misses;
     return nullptr;
   }
-  ++s.tally.hits;
-  s.lru.splice(s.lru.begin(), s.lru, it->second); // refresh: move to MRU front
+  ++tally_.hits;
+  lru_.splice(lru_.begin(), lru_, it->second); // refresh: move to MRU front
   return it->second->value;
 }
 
@@ -51,57 +34,46 @@ void schedule_cache::insert(const ir::dfg_digest& key, schedule_result value) {
 
 void schedule_cache::insert(const ir::dfg_digest& key, result_ptr value) {
   SOFTSCHED_EXPECT(value != nullptr, "schedule_cache: null value");
-  shard& s = shard_of(key);
   const std::size_t value_bytes = value->bytes();
-  const std::lock_guard<std::mutex> lock(s.mutex);
+  const std::lock_guard<std::mutex> lock(mutex_);
 
   // Oversize check first: rejecting a replacement must not destroy the
   // value already cached under the key (values are pure functions of the
   // key, so whatever is resident stays correct).
-  if (value_bytes > shard_budget_) {
-    ++s.tally.rejected_oversize;
+  if (value_bytes > byte_budget_) {
+    ++tally_.rejected_oversize;
     return;
   }
-  const auto it = s.index.find(key);
-  if (it != s.index.end()) {
-    s.bytes -= it->second->bytes;
-    s.lru.erase(it->second);
-    s.index.erase(it);
+  const auto it = index_.find(key);
+  if (it != index_.end()) {
+    tally_.bytes -= it->second->bytes;
+    lru_.erase(it->second);
+    index_.erase(it);
   }
-  s.lru.push_front(entry{key, std::move(value), value_bytes});
-  s.index.emplace(key, s.lru.begin());
-  s.bytes += value_bytes;
-  ++s.tally.insertions;
-  while (s.bytes > shard_budget_ && s.lru.size() > 1) {
-    const entry& victim = s.lru.back();
-    s.bytes -= victim.bytes;
-    s.index.erase(victim.key);
-    s.lru.pop_back();
-    ++s.tally.evictions;
+  lru_.push_front(entry{key, std::move(value), value_bytes});
+  index_.emplace(key, lru_.begin());
+  tally_.bytes += value_bytes;
+  ++tally_.insertions;
+  while (tally_.bytes > byte_budget_ && lru_.size() > 1) {
+    const entry& victim = lru_.back();
+    tally_.bytes -= victim.bytes;
+    index_.erase(victim.key);
+    lru_.pop_back();
+    ++tally_.evictions;
   }
 }
 
 void schedule_cache::clear() {
-  for (const auto& s : shards_) {
-    const std::lock_guard<std::mutex> lock(s->mutex);
-    s->lru.clear();
-    s->index.clear();
-    s->bytes = 0;
-  }
+  const std::lock_guard<std::mutex> lock(mutex_);
+  lru_.clear();
+  index_.clear();
+  tally_.bytes = 0;
 }
 
 cache_counters schedule_cache::counters() const {
-  cache_counters total;
-  for (const auto& s : shards_) {
-    const std::lock_guard<std::mutex> lock(s->mutex);
-    total.hits += s->tally.hits;
-    total.misses += s->tally.misses;
-    total.insertions += s->tally.insertions;
-    total.evictions += s->tally.evictions;
-    total.rejected_oversize += s->tally.rejected_oversize;
-    total.entries += s->lru.size();
-    total.bytes += s->bytes;
-  }
+  const std::lock_guard<std::mutex> lock(mutex_);
+  cache_counters total = tally_;
+  total.entries = lru_.size();
   return total;
 }
 

@@ -109,7 +109,7 @@ fault_plan fault_plan::parse(std::string_view spec) {
       plan.conns[parse_fault_index(target.substr(5), rule)] = action;
       continue;
     }
-    disk_fault_action action; // superset: slot/shard rules use delay/fail only
+    disk_fault_action action; // superset: slot/cache rules use delay/fail only
     for (std::size_t a = 1; a < segments.size(); ++a) {
       const std::string_view part = segments[a];
       if (part == "fail") {
@@ -128,14 +128,13 @@ fault_plan fault_plan::parse(std::string_view spec) {
     if (target.substr(0, 5) == "slot=") {
       plan.slots[parse_fault_index(target.substr(5), rule)] =
           fault_action{action.delay_ms, action.fail};
-    } else if (target.substr(0, 6) == "shard=") {
-      plan.shards[parse_fault_index(target.substr(6), rule)] =
-          fault_action{action.delay_ms, action.fail};
+    } else if (target == "cache") {
+      plan.cache = fault_action{action.delay_ms, action.fail};
     } else if (is_io) {
       plan.io.ops[parse_fault_index(target.substr(3), rule)] = action;
     } else {
       SOFTSCHED_EXPECT(false, "fault spec: unknown target '" + std::string(target) +
-                                  "' (expected slot=<n>, shard=<n>, io=<n> or conn=<n>)");
+                                  "' (expected slot=<n>, cache, io=<n> or conn=<n>)");
     }
   }
   return plan;
@@ -151,7 +150,7 @@ service::service(const service_options& options)
     : options_(options),
       jobs_(options.jobs < 1 ? thread_pool::hardware_workers()
                              : static_cast<unsigned>(options.jobs)),
-      cache_(options.cache_bytes, options.cache_shards),
+      cache_(options.cache_bytes),
       started_at_(clock_type::now()) {
   if (options_.queue_capacity < 1) options_.queue_capacity = 1;
   if (!options_.cache_dir.empty() && options_.disk_cache_bytes > 0) {
@@ -308,19 +307,6 @@ void service::process(std::uint64_t seq, const std::string& text, const callback
     }
     r.key = schedule_key_for(req, source.digest);
 
-    // -- shard injection: a failed shard is *unavailable*, not fatal - its
-    //    lookups miss and its inserts are dropped, so requests keep being
-    //    served (recomputed), just degraded --------------------------------
-    bool shard_available = true;
-    double shard_delay = 0;
-    if (!options_.faults.shards.empty()) {
-      const auto rule = options_.faults.shards.find(cache_.shard_index(r.key));
-      if (rule != options_.faults.shards.end()) {
-        shard_available = !rule->second.fail;
-        shard_delay = rule->second.delay_ms;
-      }
-    }
-
     // -- join or lead the in-flight computation ------------------------------
     std::shared_future<flight_ptr> joined;
     std::promise<flight_ptr> promise;
@@ -359,16 +345,20 @@ void service::process(std::uint64_t seq, const std::string& text, const callback
     bool from_cache = false;
     double compute_ms = 0;
     try {
-      sleep_ms(shard_delay);
+      // -- cache injection: a failed RAM tier is *unavailable*, not fatal -
+      //    lookups miss and inserts are dropped, so requests keep being
+      //    served (recomputed), just degraded.
+      const fault_action cache_fault = options_.faults.cache.value_or(fault_action{});
+      const bool cache_available = !cache_fault.fail;
+      sleep_ms(cache_fault.delay_ms);
       schedule_cache::result_ptr cached;
-      if (shard_available) cached = cache_.lookup(r.key);
+      if (cache_available) cached = cache_.lookup(r.key);
       if (cached == nullptr && disk_ != nullptr) {
         // Read-through: a RAM miss consults the persistent tier; a disk
-        // hit is promoted so the next ask is a RAM hit. The disk tier is
-        // global (not sharded), so an injected shard failure only blocks
-        // the promotion, never the read.
+        // hit is promoted so the next ask is a RAM hit. An injected RAM
+        // tier failure only blocks the promotion, never the disk read.
         cached = disk_->lookup(r.key);
-        if (cached != nullptr && shard_available) cache_.insert(r.key, cached);
+        if (cached != nullptr && cache_available) cache_.insert(r.key, cached);
       }
       if (cached != nullptr) {
         from_cache = true;
@@ -378,7 +368,7 @@ void service::process(std::uint64_t seq, const std::string& text, const callback
         f.result = std::make_shared<const schedule_result>(compute_canonical_schedule(
             req, source.canonical_of, context_for_current_thread()));
         compute_ms = millis_since(t0);
-        if (shard_available) cache_.insert(r.key, f.result);
+        if (cache_available) cache_.insert(r.key, f.result);
         // Synchronous: the record is on disk before any waiter sees it.
         if (disk_ != nullptr) disk_->store(r.key, f.result);
       }

@@ -11,7 +11,7 @@
 //     memoized canonical hash -> in-flight dedup (concurrent identical
 //     requests coalesce onto one computation via a shared future - the
 //     follower receives the leader's result directly, so it stays correct
-//     even when the cache rejected the value as oversize) -> sharded
+//     even when the cache rejected the value as oversize) -> LRU
 //     schedule cache -> disk tier -> scheduler backend. Responses stream
 //     back through a per-request callback as they complete; drain() blocks
 //     until every admitted request has responded. Live counters and a
@@ -37,10 +37,10 @@
 // environment knob) deterministically delays or fails chosen *worker
 // slots* (a request's slot is (seq - 1) % jobs - a pure function of the
 // submission sequence, independent of which pool thread actually runs it)
-// and *cache shards* (a failed shard is treated as unavailable: lookups
-// miss, inserts are dropped). This exists only in the serve layer, only to
-// make overload, slow-consumer and mid-drain-shutdown paths deterministic
-// under test; the scheduling math is never perturbed.
+// and the *RAM cache tier* (a failed cache is treated as unavailable:
+// lookups miss, inserts are dropped). This exists only in the serve layer,
+// only to make overload, slow-consumer and mid-drain-shutdown paths
+// deterministic under test; the scheduling math is never perturbed.
 #pragma once
 
 #include <atomic>
@@ -52,6 +52,7 @@
 #include <iosfwd>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -82,22 +83,22 @@ struct conn_fault_action {
 
 /// Deterministic fault-injection plan for the serve layer. Spec grammar
 /// (the SOFTSCHED_INJECT value): comma-separated rules, each
-/// `<target>:<action>[:<action>...]` with targets `slot=<n>` / `shard=<n>`
+/// `<target>:<action>[:<action>...]` with targets `slot=<n>` / `cache`
 /// / `io=<n>` / `conn=<n>` and actions `delay_ms=<float>` / `fail` /
 /// `torn` (io only) / `stall_ms=<float>` / `drop` (conn only), e.g.
 ///
-///   SOFTSCHED_INJECT="slot=0:delay_ms=5,shard=3:fail,io=2:torn,conn=2:drop"
+///   SOFTSCHED_INJECT="slot=0:delay_ms=5,cache:fail,io=2:torn,conn=2:drop"
 ///
 /// A failed worker slot turns its requests into `"error":"injected fault:
-/// worker slot <n>"` responses; a failed cache shard is unavailable (its
-/// lookups miss, its inserts are dropped) - degraded, never crashed. An
-/// `io=<n>` rule targets the Nth disk-tier record operation (1-based,
-/// counting every record read/write attempt): `fail` reports an I/O error
-/// (the disk tier degrades to RAM-only), `torn` makes a write persist only
-/// a prefix while reporting success (the power-loss shape), and `delay_ms`
-/// stalls the operation - holding the worker that stores the record under
-/// the disk-tier mutex, which is how the CI kill-mid-write leg pins its
-/// SIGKILL to a deterministic point.
+/// worker slot <n>"` responses; a failed `cache` (the RAM tier) is
+/// unavailable (every lookup misses, every insert is dropped) - degraded,
+/// never crashed. An `io=<n>` rule targets the Nth disk-tier record
+/// operation (1-based, counting every record read/write attempt): `fail`
+/// reports an I/O error (the disk tier degrades to RAM-only), `torn` makes
+/// a write persist only a prefix while reporting success (the power-loss
+/// shape), and `delay_ms` stalls the operation - holding the worker that
+/// stores the record under the disk-tier mutex, which is how the CI
+/// kill-mid-write leg pins its SIGKILL to a deterministic point.
 /// A `conn=<n>` rule targets the Nth connection a socket listener accepts
 /// (1-based, counting shed connections too): `drop` closes it without
 /// reading a byte (the mid-flight client-death shape, server side) and
@@ -105,12 +106,12 @@ struct conn_fault_action {
 /// slot - which is how tests pin the --max-conns shed boundary.
 struct fault_plan {
   std::unordered_map<unsigned, fault_action> slots;
-  std::unordered_map<unsigned, fault_action> shards;
+  std::optional<fault_action> cache; ///< the one RAM tier; unset = no rule
   std::unordered_map<unsigned, conn_fault_action> conns;
   disk_fault_plan io; ///< forwarded to the disk tier (serve/diskcache.h)
 
   [[nodiscard]] bool empty() const noexcept {
-    return slots.empty() && shards.empty() && conns.empty() && io.empty();
+    return slots.empty() && !cache && conns.empty() && io.empty();
   }
 
   /// Parses a spec string; throws precondition_error on grammar errors
@@ -124,7 +125,6 @@ struct fault_plan {
 struct service_options {
   int jobs = 0;                          ///< worker threads; < 1 = hardware_workers()
   std::size_t cache_bytes = 64ull << 20; ///< schedule-cache byte budget
-  unsigned cache_shards = 16;
   std::size_t queue_capacity = 256; ///< admitted-but-unfinished bound (>= 1)
   bool emit_schedule = true;        ///< include start/unit arrays in responses
   double retry_after_ms = 10;       ///< backpressure hint on shed requests

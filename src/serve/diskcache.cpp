@@ -113,7 +113,11 @@ bool read_whole_file(const std::string& path, std::string& out, bool& missing) {
 } // namespace
 
 std::string disk_cache::record_filename(const ir::dfg_digest& key) {
-  return key.hex() + ".rec";
+  // Appended in place: `hex() + ".rec"` inlined into path_of() makes GCC's
+  // LTO stringop checks misread the temporary as a 16-byte local buffer.
+  std::string name = key.hex();
+  name.append(".rec");
+  return name;
 }
 
 std::string disk_cache::serialize_record(const ir::dfg_digest& key,
@@ -200,7 +204,10 @@ disk_cache::disk_cache(const disk_cache_options& options) : options_(options) {
 }
 
 std::string disk_cache::path_of(const ir::dfg_digest& key) const {
-  return options_.directory + "/" + record_filename(key);
+  std::string path = options_.directory;
+  path += '/';
+  path += record_filename(key);
+  return path;
 }
 
 void disk_cache::degrade_locked(const char* what) {

@@ -53,7 +53,7 @@ void validate_serve_flags(const serve_flags& flags);
 /// Daemon options (--serve), transport-independent: service knobs,
 /// ordering, frame limits, the --max-conns bound. Its `service` part is
 /// also what --serve-batch runs on. SOFTSCHED_INJECT is consumed here in
-/// full (slot/shard/io/conn).
+/// full (slot/cache/io/conn).
 [[nodiscard]] daemon_options daemon_options_from_flags(const serve_flags& flags);
 
 } // namespace softsched::serve

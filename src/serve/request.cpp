@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cmath>
+#include <optional>
 
 #include "ir/benchmarks.h"
 #include "ir/dfg_io.h"
@@ -48,12 +49,11 @@ std::string request::source_signature() const {
 }
 
 meta::meta_kind parse_request_meta(const std::string& name) {
-  if (name == "dfs") return meta::meta_kind::depth_first;
-  if (name == "topo") return meta::meta_kind::topological;
-  if (name == "path") return meta::meta_kind::path_based;
-  if (name == "list") return meta::meta_kind::list_priority;
-  throw json_error("unknown meta schedule '" + name +
-                   "' (expected dfs|topo|path|list)");
+  const std::optional<meta::meta_kind> kind = meta::meta_kind_named(name);
+  if (!kind || *kind == meta::meta_kind::random)
+    throw json_error("unknown meta schedule '" + name +
+                     "' (expected dfs|topo|path|list)");
+  return *kind;
 }
 
 request parse_request(const json_value& object) {
@@ -84,7 +84,7 @@ request parse_request(const json_value& object) {
       const double d = value.as_number();
       // Cap at 2^53: beyond it doubles stop being exact integers, and an
       // unchecked uint64 cast of e.g. 1e300 would be undefined behavior.
-      if (d < 0 || d != std::floor(d) || d > 9007199254740992.0)
+      if (d < 0 || d != std::floor(d) || d > static_cast<double>(max_seed))
         bad_field(key, "must be a non-negative integer <= 2^53");
       req.design.seed = static_cast<std::uint64_t>(d);
       saw_seed = true;
@@ -95,13 +95,13 @@ request parse_request(const json_value& object) {
       req.design.random_edge_prob = p;
       saw_edge_prob = true;
     } else if (key == "alus") {
-      req.resources.alus = integer_field(value, key, 0, 1000000);
+      req.resources.alus = integer_field(value, key, 0, max_units);
     } else if (key == "muls") {
-      req.resources.multipliers = integer_field(value, key, 0, 1000000);
+      req.resources.multipliers = integer_field(value, key, 0, max_units);
     } else if (key == "mems") {
-      req.resources.memory_ports = integer_field(value, key, 0, 1000000);
+      req.resources.memory_ports = integer_field(value, key, 0, max_units);
     } else if (key == "mul_latency") {
-      req.mul_latency = integer_field(value, key, 1, 64);
+      req.mul_latency = integer_field(value, key, min_mul_latency, max_mul_latency);
     } else if (key == "meta") {
       if (!value.is_string()) bad_field(key, "must be a string");
       req.meta = parse_request_meta(value.as_string());

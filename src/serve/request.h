@@ -24,6 +24,14 @@
 
 namespace softsched::serve {
 
+/// Ranges of the numeric request fields. The CLI flags of the same name
+/// (--alus/--muls/--mems and their -range axes, --seed, --mul-lat-range)
+/// accept exactly these ranges.
+inline constexpr int max_units = 1'000'000;      ///< "alus" / "muls" / "mems"
+inline constexpr long long max_seed = 1LL << 53; ///< "seed": exact as a JSON number
+inline constexpr int min_mul_latency = 1;        ///< "mul_latency" lower bound
+inline constexpr int max_mul_latency = 64;       ///< "mul_latency" upper bound
+
 /// One parsed scheduling request.
 struct request {
   std::string id;               ///< client echo token; service defaults to "line<N>"

@@ -4,21 +4,17 @@
 
 namespace softsched {
 
-// Locking note: all queue state - the per-worker deques, the outstanding
-// counter, the stop flag - is guarded by the single state_mutex_. The
-// deques still implement the work-stealing *policy* (submit deals
-// round-robin, a worker pops its own lane's front, a thief takes a
-// victim's back), but claims are serialized: a job here is a whole
-// scheduling run (milliseconds), a queue operation is nanoseconds, so the
-// lock is invisible in profiles while making the accounting exact -
-// outstanding_ equals lane contents plus in-flight jobs whenever the mutex
-// is free, and a claim pops atomically with the decision to run, so
-// cancel_pending() and a claiming worker can never race over one job.
+// Locking note: all queue state - the pending deque, the outstanding
+// counter, the stop flag - is guarded by the single state_mutex_. A job
+// here is a whole scheduling run (milliseconds), a queue operation is
+// nanoseconds, so the lock is invisible in profiles while making the
+// accounting exact - outstanding_ equals pending_.size() plus in-flight
+// jobs whenever the mutex is free, and a claim pops atomically with the
+// decision to run, so cancel_pending() and a claiming worker can never race
+// over one job.
 
 thread_pool::thread_pool(unsigned worker_count) {
   const unsigned n = worker_count == 0 ? 1 : worker_count;
-  lanes_.reserve(n);
-  for (unsigned i = 0; i < n; ++i) lanes_.push_back(std::make_unique<lane>());
   workers_.reserve(n);
   try {
     for (unsigned i = 0; i < n; ++i)
@@ -52,31 +48,10 @@ void thread_pool::submit(job j) {
   {
     std::lock_guard<std::mutex> lk(state_mutex_);
     SOFTSCHED_EXPECT(!stopping_, "thread_pool::submit after shutdown began");
-    lanes_[next_lane_]->jobs.push_back(std::move(j));
-    next_lane_ = (next_lane_ + 1) % lanes_.size();
+    pending_.push_back(std::move(j));
     ++outstanding_;
   }
   work_available_.notify_one();
-}
-
-bool thread_pool::try_pop(std::size_t self, job& out) {
-  // Own lane first, oldest job first; then steal the newest job from the
-  // first non-empty sibling. Caller holds state_mutex_.
-  lane& own = *lanes_[self];
-  if (!own.jobs.empty()) {
-    out = std::move(own.jobs.front());
-    own.jobs.pop_front();
-    return true;
-  }
-  for (std::size_t i = 1; i < lanes_.size(); ++i) {
-    lane& victim = *lanes_[(self + i) % lanes_.size()];
-    if (!victim.jobs.empty()) {
-      out = std::move(victim.jobs.back());
-      victim.jobs.pop_back();
-      return true;
-    }
-  }
-  return false;
 }
 
 namespace {
@@ -93,13 +68,13 @@ void thread_pool::worker_main(std::size_t self) {
     job j;
     {
       std::unique_lock<std::mutex> lk(state_mutex_);
-      // The predicate claims work as a side effect: when it returns true
-      // because try_pop succeeded, j holds the job and the pop happened
-      // atomically with the claim (both under state_mutex_), so a
+      // The pop happens under the same lock as the wake-up check, so a
       // concurrent cancel_pending() can never drop a job a worker already
       // committed to running.
-      work_available_.wait(lk, [&] { return stopping_ || try_pop(self, j); });
-      if (!j) return; // stopping, and the queues are drained
+      work_available_.wait(lk, [&] { return stopping_ || !pending_.empty(); });
+      if (stopping_) return; // pending work at shutdown is discarded
+      j = std::move(pending_.front());
+      pending_.pop_front();
     }
     try {
       j();
@@ -130,10 +105,8 @@ std::size_t thread_pool::cancel_pending() {
   std::size_t dropped = 0;
   {
     std::lock_guard<std::mutex> lk(state_mutex_);
-    for (auto& l : lanes_) {
-      dropped += l->jobs.size();
-      l->jobs.clear();
-    }
+    dropped = pending_.size();
+    pending_.clear();
     outstanding_ -= dropped;
     if (outstanding_ == 0) idle_.notify_all();
   }

@@ -1,6 +1,6 @@
-// thread_pool.h - a small work-stealing thread pool for coarse-grained,
-// independent jobs (one design-space-exploration point each). This is the
-// first concurrency layer in the repository, so the contract is deliberately
+// thread_pool.h - a small FIFO thread pool for coarse-grained, independent
+// jobs (one design-space-exploration point each). This is the first
+// concurrency layer in the repository, so the contract is deliberately
 // narrow:
 //
 //   * Jobs are fire-and-forget closures; results travel through whatever
@@ -11,20 +11,15 @@
 //     std::terminate the process (it is running on a worker thread), so the
 //     pool catches and latches the first failure instead; wait_idle()
 //     rethrows it on the submitting thread.
-//   * Determinism is the *caller's* property: the pool promises only that
-//     every submitted job runs exactly once (or is explicitly cancelled),
-//     never that jobs run in submission order. Callers that want identical
-//     results for any worker count must make jobs independent - see
-//     docs/DESIGN.md §5.
+//   * Determinism is the *caller's* property: the pool promises that every
+//     submitted job runs exactly once (or is explicitly cancelled) and that
+//     jobs *start* in submission order, never that they finish in it.
+//     Callers that want identical results for any worker count must make
+//     jobs independent - see docs/DESIGN.md §5.
 //
-// Topology: one deque per worker. submit() deals jobs round-robin across
-// the deques; a worker pops from the front of its own deque and, when
-// empty, steals from the back of a sibling's - so an unlucky distribution
-// rebalances itself. Queue operations are serialized under one pool mutex
-// (see the locking note in thread_pool.cpp): jobs are milliseconds-coarse,
-// queue ops are nanoseconds, and the single lock makes claim/cancel
-// accounting exact - the stealing *policy* and the API would not change if
-// the lock were later sharded per lane.
+// Topology: one FIFO deque under one pool mutex (see the locking note in
+// thread_pool.cpp). submit() appends and an idle worker claims the front,
+// so a busy worker never holds queued work.
 #pragma once
 
 #include <condition_variable>
@@ -32,7 +27,6 @@
 #include <deque>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -80,27 +74,18 @@ public:
   [[nodiscard]] static int current_worker_index() noexcept;
 
 private:
-  // One lane per worker. Workers pop their own lane's front; thieves take
-  // a victim's back. Guarded by state_mutex_.
-  struct lane {
-    std::deque<job> jobs;
-  };
-
-  bool try_pop(std::size_t self, job& out);
-
   void worker_main(std::size_t self);
 
-  std::vector<std::unique_ptr<lane>> lanes_;
   std::vector<std::thread> workers_;
 
-  // Sleep/wake + lifecycle. outstanding_ counts submitted-but-unfinished
-  // jobs (pending + in flight); guarded by state_mutex_ so wait_idle() and
-  // the workers agree on "idle".
+  // Queue + sleep/wake + lifecycle, all guarded by state_mutex_.
+  // outstanding_ counts submitted-but-unfinished jobs (pending + in
+  // flight), so wait_idle() and the workers agree on "idle".
   std::mutex state_mutex_;
+  std::deque<job> pending_;
   std::condition_variable work_available_;
   std::condition_variable idle_;
   std::size_t outstanding_ = 0;
-  std::size_t next_lane_ = 0;
   bool stopping_ = false;
   std::exception_ptr first_error_;
 };

@@ -4,7 +4,7 @@
 // --serve-batch front end), the batch front end's bounded window,
 // stats-counter consistency under concurrent clients, graceful
 // drain, the lock-light latency histogram against a sorted-vector oracle,
-// the SOFTSCHED_INJECT fault plan (grammar + slot/shard/conn injection
+// the SOFTSCHED_INJECT fault plan (grammar + slot/cache/conn injection
 // semantics), the --listen/--serve flag surface (serve/options.h), and the
 // socket transports: stdio/tcp/unix response parity, hello negotiation,
 // the --max-conns shed boundary, cross-connection dedup, and dead-client
@@ -261,15 +261,15 @@ TEST(LatencyHistogram, BucketMappingIsMonotoneAndCovering) {
 
 // -- fault plan (SOFTSCHED_INJECT grammar) ----------------------------------
 
-TEST(FaultPlan, ParsesSlotAndShardRules) {
+TEST(FaultPlan, ParsesSlotAndCacheRules) {
   const sv::fault_plan plan =
-      sv::fault_plan::parse("slot=0:delay_ms=5,shard=3:fail,slot=2:delay_ms=1.5:fail");
+      sv::fault_plan::parse("slot=0:delay_ms=5,cache:fail,slot=2:delay_ms=1.5:fail");
   ASSERT_EQ(plan.slots.size(), 2u);
-  ASSERT_EQ(plan.shards.size(), 1u);
+  ASSERT_TRUE(plan.cache.has_value());
   EXPECT_DOUBLE_EQ(plan.slots.at(0).delay_ms, 5);
   EXPECT_FALSE(plan.slots.at(0).fail);
-  EXPECT_TRUE(plan.shards.at(3).fail);
-  EXPECT_DOUBLE_EQ(plan.shards.at(3).delay_ms, 0);
+  EXPECT_TRUE(plan.cache->fail);
+  EXPECT_DOUBLE_EQ(plan.cache->delay_ms, 0);
   EXPECT_DOUBLE_EQ(plan.slots.at(2).delay_ms, 1.5);
   EXPECT_TRUE(plan.slots.at(2).fail);
   EXPECT_FALSE(plan.empty());
@@ -283,7 +283,27 @@ TEST(FaultPlan, RejectsMalformedSpecs) {
   EXPECT_THROW((void)sv::fault_plan::parse("slot=0:boom"), precondition_error);
   EXPECT_THROW((void)sv::fault_plan::parse("slot=0:delay_ms=-1"), precondition_error);
   EXPECT_THROW((void)sv::fault_plan::parse("slot=0:delay_ms=abc"), precondition_error);
-  EXPECT_THROW((void)sv::fault_plan::parse("shard=:fail"), precondition_error);
+  EXPECT_THROW((void)sv::fault_plan::parse("slot=:fail"), precondition_error);
+}
+
+TEST(FaultPlan, CacheTargetIsTheOneRamTier) {
+  // The RAM tier is one cache, so its target takes no index; the old
+  // per-shard target is an unknown target whose message names the new one.
+  try {
+    (void)sv::fault_plan::parse("shard=3:fail");
+    ADD_FAILURE() << "shard=<n> target accepted";
+  } catch (const precondition_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("unknown target 'shard=3'"), std::string::npos) << what;
+    EXPECT_NE(what.find("cache"), std::string::npos) << what;
+  }
+  EXPECT_THROW((void)sv::fault_plan::parse("cache=0:fail"), precondition_error);
+  EXPECT_THROW((void)sv::fault_plan::parse("cache:torn"), precondition_error);
+  const sv::fault_plan delayed = sv::fault_plan::parse("cache:delay_ms=2.5");
+  ASSERT_TRUE(delayed.cache.has_value());
+  EXPECT_DOUBLE_EQ(delayed.cache->delay_ms, 2.5);
+  EXPECT_FALSE(delayed.cache->fail);
+  EXPECT_FALSE(delayed.empty());
 }
 
 TEST(FaultPlan, FromEnvReadsTheKnob) {
@@ -371,12 +391,11 @@ TEST(ServeService, OverloadedResponseCarriesRetryAfterHint) {
 }
 
 TEST(ServeService, ConcurrentIdenticalRequestsCoalesceOntoOneFlight) {
-  // The leader registers its flight before the injected shard delay, so
+  // The leader registers its flight before the injected cache delay, so
   // the second identical request reliably arrives mid-flight and joins it.
   sv::service_options opt;
   opt.jobs = 2;
-  opt.cache_shards = 1;
-  opt.faults = sv::fault_plan::parse("shard=0:delay_ms=40");
+  opt.faults = sv::fault_plan::parse("cache:delay_ms=40");
   sv::service svc(opt);
   collector got;
   ASSERT_TRUE(svc.submit(1, R"({"id":"a","bench":"ewf"})", got.sink()));
@@ -397,8 +416,7 @@ TEST(ServeService, DedupFollowerSurvivesOversizeRejectedCacheInsert) {
   sv::service_options opt;
   opt.jobs = 2;
   opt.cache_bytes = 0;
-  opt.cache_shards = 1;
-  opt.faults = sv::fault_plan::parse("shard=0:delay_ms=40");
+  opt.faults = sv::fault_plan::parse("cache:delay_ms=40");
   sv::service svc(opt);
   collector got;
   ASSERT_TRUE(svc.submit(1, R"({"id":"a","bench":"hal"})", got.sink()));
@@ -509,13 +527,12 @@ TEST(ServeInjection, SlotDelayShowsUpInServiceLatency) {
   EXPECT_GE(svc.stats().p50_ms, 20.0 * 0.9);
 }
 
-TEST(ServeInjection, FailedShardIsUnavailableNotFatal) {
-  // One shard, failed: lookups miss and inserts are dropped, so the same
+TEST(ServeInjection, FailedCacheIsUnavailableNotFatal) {
+  // The RAM tier, failed: lookups miss and inserts are dropped, so the same
   // request is recomputed every time - degraded, never crashed.
   sv::service_options opt;
   opt.jobs = 1;
-  opt.cache_shards = 1;
-  opt.faults = sv::fault_plan::parse("shard=0:fail");
+  opt.faults = sv::fault_plan::parse("cache:fail");
   sv::service svc(opt);
   collector got;
   ASSERT_TRUE(svc.submit(1, R"({"id":"a","bench":"ewf"})", got.sink()));
@@ -805,8 +822,7 @@ TEST(ServeDaemon, OverloadShedsWithOverloadedFramesInOrder) {
   // Tiny queue + injected slot delay: a burst must produce a mix of real
   // and "overloaded" responses - exactly one frame per request, in input
   // order under --serve-ordered.
-  std::vector<std::string> lines;
-  for (int i = 0; i < 8; ++i) lines.push_back(R"({"bench":"fig1"})");
+  const std::vector<std::string> lines(8, R"({"bench":"fig1"})");
   std::istringstream in(framed(lines));
   std::ostringstream out;
   sv::daemon_options opt;
@@ -913,12 +929,12 @@ TEST(FaultPlan, ParsesConnRules) {
 }
 
 TEST(FaultPlan, RejectsConnActionMismatches) {
-  // conn actions stay on conn targets, slot/shard actions on theirs.
+  // conn actions stay on conn targets, slot/cache actions on theirs.
   EXPECT_THROW((void)sv::fault_plan::parse("conn=1:fail"), precondition_error);
   EXPECT_THROW((void)sv::fault_plan::parse("conn=1:torn"), precondition_error);
   EXPECT_THROW((void)sv::fault_plan::parse("conn=1:delay_ms=5"), precondition_error);
   EXPECT_THROW((void)sv::fault_plan::parse("slot=1:drop"), precondition_error);
-  EXPECT_THROW((void)sv::fault_plan::parse("shard=1:stall_ms=5"), precondition_error);
+  EXPECT_THROW((void)sv::fault_plan::parse("cache:stall_ms=5"), precondition_error);
   EXPECT_THROW((void)sv::fault_plan::parse("conn=1:stall_ms=abc"), precondition_error);
   EXPECT_THROW((void)sv::fault_plan::parse("conn=x:drop"), precondition_error);
 }

@@ -7,6 +7,7 @@
 #include <chrono>
 #include <future>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -231,6 +232,30 @@ TEST(ThreadPool, CancelPendingDropsExactlyTheUnstartedJobs) {
   pool.submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
   pool.wait_idle();
   EXPECT_EQ(ran.load(), 1);
+}
+
+TEST(ThreadPool, BusyWorkerNeverStrandsQueuedJobs) {
+  // One worker is pinned on a gate; the other must run every queued job
+  // while the gate is still closed - no job waits behind the busy worker.
+  std::promise<void> release;
+  std::shared_future<void> gate = release.get_future().share();
+  std::promise<void> started;
+  std::atomic<int> ran{0};
+  thread_pool pool(2);
+  pool.submit([&started, gate] {
+    started.set_value();
+    gate.wait();
+  });
+  started.get_future().wait();
+  for (int i = 0; i < 50; ++i)
+    pool.submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (ran.load() < 50 && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_EQ(ran.load(), 50); // all ran with the gate still closed
+  release.set_value();
+  pool.wait_idle();
+  EXPECT_EQ(ran.load(), 50);
 }
 
 TEST(ThreadPool, ShutdownWithPendingJobsDoesNotHangOrCorrupt) {

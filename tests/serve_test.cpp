@@ -1,4 +1,4 @@
-// serve_test.cpp - the batch scheduling service: sharded LRU cache
+// serve_test.cpp - the batch scheduling service: one-lock LRU cache
 // (budget, eviction order, counters, concurrency), strict request parsing,
 // and the request pipeline behind --serve-batch (service + run_batch:
 // cache hits, design unification, determinism across worker counts and
@@ -9,6 +9,7 @@
 #include <atomic>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "ir/benchmarks.h"
@@ -64,7 +65,7 @@ sv::service_options serial_options() {
 // -- schedule_cache ---------------------------------------------------------
 
 TEST(ScheduleCache, InsertLookupRoundTrip) {
-  sv::schedule_cache cache(1 << 20, 4);
+  sv::schedule_cache cache(1 << 20);
   EXPECT_FALSE(cache.lookup(key_of(1)) != nullptr);
   cache.insert(key_of(1), result_of(17));
   const auto hit = cache.lookup(key_of(1));
@@ -79,9 +80,9 @@ TEST(ScheduleCache, InsertLookupRoundTrip) {
 }
 
 TEST(ScheduleCache, LruEvictsColdestFirst) {
-  // One shard so the LRU order is global; budget fits exactly three values.
+  // The budget fits exactly three values.
   const std::size_t one = result_of(1).bytes();
-  sv::schedule_cache cache(3 * one, 1);
+  sv::schedule_cache cache(3 * one);
   cache.insert(key_of(1), result_of(1));
   cache.insert(key_of(2), result_of(2));
   cache.insert(key_of(3), result_of(3));
@@ -96,7 +97,7 @@ TEST(ScheduleCache, LruEvictsColdestFirst) {
 }
 
 TEST(ScheduleCache, ReinsertReplacesValue) {
-  sv::schedule_cache cache(1 << 20, 2);
+  sv::schedule_cache cache(1 << 20);
   cache.insert(key_of(9), result_of(5));
   cache.insert(key_of(9), result_of(6));
   const auto hit = cache.lookup(key_of(9));
@@ -107,9 +108,9 @@ TEST(ScheduleCache, ReinsertReplacesValue) {
 
 TEST(ScheduleCache, OversizeValueRejectedNotThrashed) {
   const std::size_t one = result_of(1).bytes();
-  sv::schedule_cache cache(2 * one, 1);
+  sv::schedule_cache cache(2 * one);
   cache.insert(key_of(1), result_of(1));
-  cache.insert(key_of(2), result_of(2, /*pad=*/4096)); // alone exceeds the shard
+  cache.insert(key_of(2), result_of(2, /*pad=*/4096)); // alone exceeds the budget
   EXPECT_FALSE(cache.lookup(key_of(2)) != nullptr);
   EXPECT_TRUE(cache.lookup(key_of(1)) != nullptr); // resident entry untouched
   EXPECT_EQ(cache.counters().rejected_oversize, 1u);
@@ -117,26 +118,32 @@ TEST(ScheduleCache, OversizeValueRejectedNotThrashed) {
 }
 
 TEST(ScheduleCache, ZeroBudgetCachesNothingButOperates) {
-  sv::schedule_cache cache(0, 4);
+  sv::schedule_cache cache(0);
   cache.insert(key_of(1), result_of(1));
   EXPECT_FALSE(cache.lookup(key_of(1)) != nullptr);
   EXPECT_EQ(cache.counters().entries, 0u);
   EXPECT_EQ(cache.counters().rejected_oversize, 1u);
 }
 
-TEST(ScheduleCache, BudgetSplitsAcrossShards) {
-  sv::schedule_cache cache(1 << 12, 8);
-  EXPECT_EQ(cache.shard_count(), 8u);
-  EXPECT_EQ(cache.shard_budget(), (1u << 12) / 8);
-  const std::size_t one = result_of(1).bytes();
-  for (std::uint64_t k = 0; k < 512; ++k) cache.insert(key_of(k), result_of(1));
-  // Residency can never exceed the whole budget, whatever the key spread.
-  EXPECT_LE(cache.counters().bytes, std::size_t{1} << 12);
-  EXPECT_GE(cache.counters().entries, (1u << 12) / 8 / one); // >= one full shard
+TEST(ScheduleCache, ValueUpToTheWholeBudgetIsCached) {
+  // The budget is not split: one value of half the budget is resident.
+  const std::size_t budget = std::size_t{1} << 16;
+  sv::schedule_cache cache(budget);
+  // Each pad element costs one packed byte in each of the two arrays.
+  const sv::schedule_result big =
+      result_of(7, /*pad=*/(budget / 2 - result_of(7).bytes()) / 2);
+  ASSERT_LE(big.bytes(), budget / 2);
+  ASSERT_GT(big.bytes(), budget / 4);
+  cache.insert(key_of(1), big);
+  const auto hit = cache.lookup(key_of(1));
+  ASSERT_NE(hit, nullptr);
+  EXPECT_TRUE(hit->same_schedule(big));
+  EXPECT_EQ(cache.counters().rejected_oversize, 0u);
+  EXPECT_LE(cache.counters().bytes, budget);
 }
 
 TEST(ScheduleCache, ClearDropsEntriesKeepsCounters) {
-  sv::schedule_cache cache(1 << 20, 4);
+  sv::schedule_cache cache(1 << 20);
   cache.insert(key_of(1), result_of(1));
   ASSERT_TRUE(cache.lookup(key_of(1)) != nullptr);
   cache.clear();
@@ -147,7 +154,7 @@ TEST(ScheduleCache, ClearDropsEntriesKeepsCounters) {
 }
 
 TEST(ScheduleCache, ConcurrentAccessKeepsAccountsConsistent) {
-  sv::schedule_cache cache(1 << 18, 8);
+  sv::schedule_cache cache(1 << 18);
   thread_pool pool(4);
   constexpr std::size_t lookups_per_job = 64;
   constexpr std::size_t job_count = 32;
@@ -166,6 +173,41 @@ TEST(ScheduleCache, ConcurrentAccessKeepsAccountsConsistent) {
   EXPECT_EQ(c.hits, observed_hits.load());
   EXPECT_EQ(c.hits + c.misses, job_count * lookups_per_job);
   EXPECT_LE(c.entries, 16u);
+}
+
+TEST(ScheduleCache, ConcurrentInsertAndLookupKeepResidencyWithinBudget) {
+  // Four threads over overlapping keys against a budget that holds only a
+  // few values: eviction runs constantly, residency never passes the
+  // budget, and every hit returns exactly the value its key was given.
+  const std::size_t budget = 6 * result_of(0, 8).bytes();
+  sv::schedule_cache cache(budget);
+  constexpr std::size_t threads = 4;
+  constexpr std::size_t steps = 2000;
+  std::atomic<std::size_t> bad_hits{0};
+  std::atomic<std::size_t> over_budget{0};
+  std::vector<std::thread> workers;
+  for (std::size_t t = 0; t < threads; ++t) {
+    workers.emplace_back([&, t] {
+      for (std::size_t i = 0; i < steps; ++i) {
+        const std::uint64_t k = (t * 7 + i) % 24;
+        const auto value = static_cast<long long>(k) * 3 + 1;
+        if (const auto hit = cache.lookup(key_of(k))) {
+          if (!hit->same_schedule(result_of(value, 8))) bad_hits.fetch_add(1);
+        } else {
+          cache.insert(key_of(k), result_of(value, 8));
+        }
+        if (cache.counters().bytes > budget) over_budget.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& w : workers) w.join();
+  const sv::cache_counters c = cache.counters();
+  EXPECT_EQ(bad_hits.load(), 0u);
+  EXPECT_EQ(over_budget.load(), 0u);
+  EXPECT_LE(c.bytes, budget);
+  EXPECT_EQ(c.hits + c.misses, threads * steps);
+  EXPECT_GT(c.evictions, 0u);
+  EXPECT_EQ(c.rejected_oversize, 0u);
 }
 
 // -- request parsing --------------------------------------------------------
@@ -544,7 +586,7 @@ TEST(ScheduleCache, OversizeReplacementKeepsResidentValue) {
   // Regression: rejecting an oversize *replacement* must not erase the
   // value already cached under the key.
   const std::size_t one = result_of(1).bytes();
-  sv::schedule_cache cache(2 * one, 1);
+  sv::schedule_cache cache(2 * one);
   cache.insert(key_of(1), result_of(7));
   cache.insert(key_of(1), result_of(8, /*pad=*/4096)); // oversize replacement
   const auto hit = cache.lookup(key_of(1));

@@ -39,6 +39,7 @@
 #include "sched/backend.h"
 #include "serve/daemon.h"
 #include "serve/options.h"
+#include "serve/request.h"
 #include "serve/socket.h"
 #include "regalloc/lifetime.h"
 #include "util/arena.h"
@@ -203,11 +204,7 @@ wire_spec parse_wire(const std::string& spec) {
 }
 
 sm::meta_kind parse_meta(const std::string& name) {
-  if (name == "dfs") return sm::meta_kind::depth_first;
-  if (name == "topo") return sm::meta_kind::topological;
-  if (name == "path") return sm::meta_kind::path_based;
-  if (name == "list") return sm::meta_kind::list_priority;
-  if (name == "random") return sm::meta_kind::random;
+  if (const std::optional<sm::meta_kind> kind = sm::meta_kind_named(name)) return *kind;
   throw softsched::precondition_error(
       "--meta must be dfs, topo, path, list or random, got '" + name + "'");
 }
@@ -260,8 +257,7 @@ options parse_args(int argc, char** argv) {
     return checked([&] { return parse_axis(value, flag, lo, hi); });
   };
   // Same ranges as the serve request fields of the same name.
-  constexpr int max_units = 1'000'000;
-  constexpr long long max_seed = 1LL << 53;
+  using sv::max_units;
   constexpr int max_mb = 1 << 20;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -271,7 +267,7 @@ options parse_args(int argc, char** argv) {
     else if (arg == "--backend") opt.backend = need(i);
     else if (arg == "--compare") opt.compare = true;
     else if (arg == "--meta") opt.meta = need(i);
-    else if (arg == "--seed") opt.seed = static_cast<std::uint64_t>(number(i, 0, max_seed));
+    else if (arg == "--seed") opt.seed = static_cast<std::uint64_t>(number(i, 0, sv::max_seed));
     else if (arg == "--latency") opt.latency = number(i, 1, 1'000'000);
     else if (arg == "--iter-budget") opt.iter_budget = number(i, 0, ss::sdc_iter_max_budget);
     else if (arg == "--alus") { opt.alus = count(i, 0, max_units); opt.alus_set = true; }
@@ -287,7 +283,8 @@ options parse_args(int argc, char** argv) {
     else if (arg == "--alus-range") opt.alus_axis = axis(i, 0, max_units);
     else if (arg == "--muls-range") opt.muls_axis = axis(i, 0, max_units);
     else if (arg == "--mems-range") opt.mems_axis = axis(i, 0, max_units);
-    else if (arg == "--mul-lat-range") opt.mul_lat_axis = axis(i, 1, 64);
+    else if (arg == "--mul-lat-range")
+      opt.mul_lat_axis = axis(i, sv::min_mul_latency, sv::max_mul_latency);
     else if (arg == "--iter-budget-range")
       opt.iter_budget_axis = axis(i, 0, ss::sdc_iter_max_budget);
     else if (arg == "--explore-out") opt.explore_out = need(i);
@@ -515,23 +512,31 @@ int run_explore(const options& opt, const scheduling_config& cfg) {
   eopt.arena_block_bytes = cfg.arena.block_bytes;
 
   const se::exploration_result result = se::run_exploration(spec, eopt);
+  // The budget axis is printed only when set, so output without it is
+  // unchanged; with it, frontier rows that differ only in budget differ.
+  const bool budget_axis = opt.iter_budget_axis.has_value();
   std::cout << "design-space exploration: " << spec.design.name() << ", "
             << result.points.size() << " points (alus " << spec.alus.lo << ":"
             << spec.alus.hi << " x muls " << spec.muls.lo << ":" << spec.muls.hi
             << " x mems " << spec.mems.lo << ":" << spec.mems.hi << " x mul_lat "
-            << spec.mul_latency.lo << ":" << spec.mul_latency.hi << " x "
-            << result.backends.size() << " backends), " << result.jobs << " jobs\n";
+            << spec.mul_latency.lo << ":" << spec.mul_latency.hi;
+  if (budget_axis)
+    std::cout << " x iter_budget " << spec.iter_budget.lo << ":" << spec.iter_budget.hi;
+  std::cout << " x " << result.backends.size() << " backends), " << result.jobs
+            << " jobs\n";
   std::cout << "  feasible " << result.feasible_count() << "/" << result.points.size()
             << ", " << result.wall_ms << " ms, " << result.points_per_sec()
             << " points/sec\n";
   for (std::size_t b = 0; b < result.frontiers.size(); ++b) {
     std::cout << "pareto frontier [" << result.backends[b]
-              << "] (area / latency / allocation / mul latency):\n";
+              << "] (area / latency / allocation / mul latency"
+              << (budget_axis ? " / iter budget" : "") << "):\n";
     for (const int i : result.frontiers[b]) {
       const se::point_result& p = result.points[static_cast<std::size_t>(i)];
       std::cout << "  area " << p.area << "  latency " << p.latency << " states  "
-                << p.point.resources.label() << "  mul_lat " << p.point.mul_latency
-                << "\n";
+                << p.point.resources.label() << "  mul_lat " << p.point.mul_latency;
+      if (budget_axis) std::cout << "  iter_budget " << p.point.iter_budget;
+      std::cout << "\n";
     }
   }
 
