@@ -31,8 +31,8 @@ void sleep_ms(double ms) {
     std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(ms));
 }
 
-/// Source-memo entry bound (the byte bound follows the cache budget).
-constexpr std::size_t memo_entry_limit = 1 << 16;
+/// Estimated bytes of one fingerprint-set node (value, link, bucket slot).
+constexpr std::size_t fingerprint_bytes = 32;
 
 unsigned parse_fault_index(std::string_view text, std::string_view rule) {
   bool ok = !text.empty() && text.size() <= 6;
@@ -239,27 +239,39 @@ void service::wait_for_room() {
   });
 }
 
-source_info service::lookup_source(const request& req) {
+source_info service::lookup_source(const request& req,
+                                   std::optional<source_design>& built) {
   const std::string sig = req.source_signature();
   {
     const std::lock_guard<std::mutex> lock(memo_mutex_);
     const auto it = source_memo_.find(sig);
-    if (it != source_memo_.end()) return it->second;
+    if (it != source_memo_.end()) {
+      ++memo_hits_;
+      return it->second;
+    }
   }
   // Hash outside the lock (the expensive part); first publisher wins, a
   // concurrent duplicate hash of the same source is wasted work, not a bug.
-  source_info info = hash_request_source(req);
+  source_info info = hash_request_source(req, built);
+  const std::uint64_t fingerprint = std::hash<std::string>{}(sig);
   const std::lock_guard<std::mutex> lock(memo_mutex_);
-  if (source_memo_.size() > memo_entry_limit ||
-      source_memo_bytes_ > std::max<std::size_t>(options_.cache_bytes, 8ull << 20)) {
+  // Every memo entry's fingerprint is in the set, so its size bounds both.
+  if (seen_fingerprints_.size() > memo_entry_limit ||
+      memo_bytes_ > std::max(options_.cache_bytes, memo_min_bytes)) {
     source_memo_.clear();
-    source_memo_bytes_ = 0;
+    seen_fingerprints_.clear();
+    memo_bytes_ = 0;
+  }
+  if (seen_fingerprints_.insert(fingerprint).second) {
+    memo_bytes_ += fingerprint_bytes; // first sighting: remember, don't keep
+    return info;
   }
   const auto [it, inserted] = source_memo_.try_emplace(sig, info);
-  if (inserted)
-    source_memo_bytes_ += sig.size() + info.error.size() +
-                          info.canonical_of.size() * sizeof(std::uint32_t) +
-                          sizeof(source_info) + 64;
+  if (inserted) {
+    ++memo_admitted_;
+    memo_bytes_ += sig.size() + info.error.size() +
+                   info.canonical_of.size() * sizeof(std::uint32_t) + sizeof(source_info) + 64;
+  }
   return info;
 }
 
@@ -298,7 +310,8 @@ void service::process(std::uint64_t seq, const std::string& text, const callback
     r.backend = req.backend;
 
     // -- canonical hash (memoized) + cache key -------------------------------
-    const source_info source = lookup_source(req);
+    std::optional<source_design> built;
+    const source_info source = lookup_source(req, built);
     if (!source.error.empty()) {
       r.error = source.error;
       errors_.fetch_add(1, std::memory_order_relaxed);
@@ -365,8 +378,9 @@ void service::process(std::uint64_t seq, const std::string& text, const callback
         f.result = std::move(cached);
       } else {
         const auto t0 = clock_type::now();
+        if (!built) built.emplace(req); // a memo hit skipped the build
         f.result = std::make_shared<const schedule_result>(compute_canonical_schedule(
-            req, source.canonical_of, context_for_current_thread()));
+            req, *built, source.canonical_of, context_for_current_thread()));
         compute_ms = millis_since(t0);
         if (cache_available) cache_.insert(r.key, f.result);
         // Synchronous: the record is on disk before any waiter sees it.
@@ -432,6 +446,13 @@ service_stats service::stats() const {
   s.cache_bytes = c.bytes;
   s.cache_evictions = c.evictions;
   s.cache_rejected_oversize = c.rejected_oversize;
+  {
+    const std::lock_guard<std::mutex> lock(memo_mutex_);
+    s.memo_entries = source_memo_.size();
+    s.memo_bytes = memo_bytes_;
+    s.memo_hits = memo_hits_;
+    s.memo_admitted = memo_admitted_;
+  }
   if (disk_ != nullptr) {
     const disk_cache_counters d = disk_->counters();
     s.disk_enabled = true;

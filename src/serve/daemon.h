@@ -8,14 +8,15 @@
 //     (a bounded queue; at capacity the request is shed immediately with
 //     `"error":"overloaded"` + a retry_after_ms hint instead of queueing
 //     without bound), then hands the request to the worker pool: parse ->
-//     memoized canonical hash -> in-flight dedup (concurrent identical
-//     requests coalesce onto one computation via a shared future - the
-//     follower receives the leader's result directly, so it stays correct
-//     even when the cache rejected the value as oversize) -> LRU
-//     schedule cache -> disk tier -> scheduler backend. Responses stream
-//     back through a per-request callback as they complete; drain() blocks
-//     until every admitted request has responded. Live counters and a
-//     lock-light latency histogram (serve/metrics.h) feed stats().
+//     memoized canonical hash (a design enters the memo on its second
+//     sighting) -> in-flight dedup (concurrent identical requests coalesce
+//     onto one computation via a shared future - the follower receives the
+//     leader's result directly, so it stays correct even when the cache
+//     rejected the value as oversize) -> LRU schedule cache -> disk tier ->
+//     scheduler backend. Responses stream back through a per-request
+//     callback as they complete; drain() blocks until every admitted
+//     request has responded. Live counters and a lock-light latency
+//     histogram (serve/metrics.h) feed stats().
 //
 //   * `run_batch` - the JSONL front end (--serve-batch): one request per
 //     input line, submitted under its line number, answered in input order
@@ -56,6 +57,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "serve/cache.h"
@@ -187,6 +189,12 @@ public:
   /// One snapshot of the live counters (the {"op":"stats"} payload).
   [[nodiscard]] service_stats stats() const;
 
+  /// Source-memo bounds: past memo_entry_limit fingerprints (every memo
+  /// entry has one) or max(cache_bytes, memo_min_bytes) estimated bytes,
+  /// the next memo miss wipes the memo and the fingerprint set together.
+  static constexpr std::size_t memo_entry_limit = std::size_t{1} << 16;
+  static constexpr std::size_t memo_min_bytes = std::size_t{8} << 20;
+
   [[nodiscard]] unsigned jobs() const noexcept { return jobs_; }
   [[nodiscard]] const service_options& options() const noexcept { return options_; }
   [[nodiscard]] schedule_cache& cache() noexcept { return cache_; }
@@ -208,7 +216,10 @@ private:
                std::chrono::steady_clock::time_point admitted_at);
   void complete(response r, const callback& done,
                 std::chrono::steady_clock::time_point admitted_at);
-  [[nodiscard]] source_info lookup_source(const request& req);
+  /// The request's source_info, from the memo or hashed. A hash keeps the
+  /// DFG it built in `built` so a cache miss does not build it again.
+  [[nodiscard]] source_info lookup_source(const request& req,
+                                          std::optional<source_design>& built);
   /// Pool worker i owns contexts_[i]; any non-pool thread the extra slot.
   [[nodiscard]] sched::run_context& context_for_current_thread() noexcept;
 
@@ -238,13 +249,20 @@ private:
   mutable std::mutex drain_mutex_;
   std::condition_variable drained_;
 
-  // Source-signature -> source_info memo: each distinct design is hashed
-  // once, then recognized by signature. Bounded by entry count and bytes
-  // (signatures embed raw .dfg text), wiped when either trips - the
-  // schedule cache, not the memo, is the capacity story.
-  std::mutex memo_mutex_;
+  // Source-signature -> source_info memo, admitted on a design's second
+  // sighting: the first only records a 64-bit fingerprint of the
+  // signature, so a design asked for once holds no canonical_of array. A
+  // fingerprint collision only admits a design early; the memo is keyed by
+  // the full signature. Bounded by entry count and bytes (signatures embed
+  // raw .dfg text); the memo and the fingerprints are wiped together when
+  // either bound trips - the schedule cache, not the memo, is the capacity
+  // story.
+  mutable std::mutex memo_mutex_;
   std::unordered_map<std::string, source_info> source_memo_;
-  std::size_t source_memo_bytes_ = 0;
+  std::unordered_set<std::uint64_t> seen_fingerprints_;
+  std::size_t memo_bytes_ = 0; ///< estimate over the memo and the fingerprints
+  std::uint64_t memo_hits_ = 0;
+  std::uint64_t memo_admitted_ = 0;
 
   // Key -> in-flight computation. The leader inserts a promise before
   // touching the cache and erases it after publishing, so any follower

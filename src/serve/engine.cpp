@@ -25,23 +25,21 @@ namespace softsched::serve {
 /// serving request B a result computed from an isomorphic-but-renumbered
 /// request A would both misalign the arrays and break cache-size
 /// independence.
-schedule_result compute_canonical_schedule(const request& req,
+schedule_result compute_canonical_schedule(const request& req, const source_design& source,
                                            const std::vector<std::uint32_t>& canonical_of,
                                            sched::run_context& ctx) {
   schedule_result r;
-  ir::resource_library library;
-  library.set_latency(ir::op_kind::mul, req.mul_latency);
-  const ir::dfg source = build_request_design(req, library);
-  std::vector<graph::vertex_id> order(source.op_count());
+  std::vector<graph::vertex_id> order(source.design.op_count());
   for (std::size_t src = 0; src < canonical_of.size(); ++src)
     order[canonical_of[src]] = graph::vertex_id(static_cast<std::uint32_t>(src));
-  const ir::dfg design = ir::canonical_form(source, order, library);
+  const ir::dfg design = ir::canonical_form(source.design, order, source.library);
   r.ops = design.op_count();
   sched::backend_options options;
   options.meta = req.meta;
   options.iter_budget = req.iter_budget;
-  sched::backend_outcome outcome = sched::get_backend(req.backend)
-                                       .run({design, library, req.resources, options}, ctx);
+  sched::backend_outcome outcome =
+      sched::get_backend(req.backend)
+          .run({design, source.library, req.resources, options}, ctx);
   r.feasible = outcome.feasible;
   r.infeasible_reason = std::move(outcome.infeasible_reason);
   r.latency = outcome.latency;
@@ -49,6 +47,12 @@ schedule_result compute_canonical_schedule(const request& req,
   r.unit_of = std::move(outcome.unit_of);
   r.stats = outcome.stats;
   return r;
+}
+
+schedule_result compute_canonical_schedule(const request& req,
+                                           const std::vector<std::uint32_t>& canonical_of,
+                                           sched::run_context& ctx) {
+  return compute_canonical_schedule(req, source_design(req), canonical_of, ctx);
 }
 
 schedule_result compute_canonical_schedule(const request& req,
@@ -66,21 +70,38 @@ schedule_result result_to_source_order(const schedule_result& canonical,
   return r;
 }
 
-source_info hash_request_source(const request& req) {
+namespace {
+
+ir::resource_library library_for(const request& req) {
+  ir::resource_library library;
+  library.set_latency(ir::op_kind::mul, req.mul_latency);
+  return library;
+}
+
+} // namespace
+
+source_design::source_design(const request& req)
+    : library(library_for(req)), design(build_request_design(req, library)) {}
+
+source_info hash_request_source(const request& req, std::optional<source_design>& built) {
   source_info info;
   try {
-    ir::resource_library library;
-    library.set_latency(ir::op_kind::mul, req.mul_latency);
-    const ir::dfg design = build_request_design(req, library);
+    const ir::dfg& design = built.emplace(req).design;
     const std::vector<graph::vertex_id> order = ir::canonical_topo_order(design);
     info.digest = ir::canonical_dfg_digest(design, order);
     info.canonical_of.resize(order.size());
     for (std::size_t ci = 0; ci < order.size(); ++ci)
       info.canonical_of[order[ci].value()] = static_cast<std::uint32_t>(ci);
   } catch (const std::exception& e) {
+    built.reset();
     info.error = e.what();
   }
   return info;
+}
+
+source_info hash_request_source(const request& req) {
+  std::optional<source_design> built;
+  return hash_request_source(req, built);
 }
 
 ir::dfg_digest schedule_key_for(const request& req, const ir::dfg_digest& digest) {

@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -66,6 +67,25 @@ struct source_info {
 /// failures land in source_info::error.
 [[nodiscard]] source_info hash_request_source(const request& req);
 
+/// A request's source DFG with the library its delays were baked from.
+/// The DFG points into the library, so the pair is built in place and
+/// never moves. Built once per request: the hash step builds it and the
+/// compute step reuses it.
+struct source_design {
+  explicit source_design(const request& req); ///< throws like build_request_design
+  source_design(const source_design&) = delete;
+  source_design& operator=(const source_design&) = delete;
+
+  ir::resource_library library;
+  ir::dfg design;
+};
+
+/// hash_request_source that keeps the DFG it builds in `built` for
+/// compute_canonical_schedule to reuse (`built` is left empty when the
+/// source fails to build or hash).
+[[nodiscard]] source_info hash_request_source(const request& req,
+                                              std::optional<source_design>& built);
+
 /// Derives the schedule-cache key: canonical digest + allocation +
 /// backend/meta salt (identical designs under different backends must
 /// never share a cache entry - docs/DESIGN.md §7).
@@ -79,6 +99,11 @@ struct source_info {
 [[nodiscard]] schedule_result compute_canonical_schedule(
     const request& req, const std::vector<std::uint32_t>& canonical_of,
     sched::run_context& ctx);
+
+/// Same, over a source design already built for this request.
+[[nodiscard]] schedule_result compute_canonical_schedule(
+    const request& req, const source_design& source,
+    const std::vector<std::uint32_t>& canonical_of, sched::run_context& ctx);
 
 /// Convenience overload for one-shot callers (tests, the daemon's warmup):
 /// runs on a private heap-mode context.

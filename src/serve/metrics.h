@@ -81,6 +81,13 @@ struct service_stats {
   std::uint64_t cache_evictions = 0;
   std::uint64_t cache_rejected_oversize = 0;
 
+  // Source memo (serve/daemon.h): signature -> digest + canonical_of,
+  // admitted on a design's second sighting.
+  std::size_t memo_entries = 0;
+  std::size_t memo_bytes = 0;      ///< estimate: entries + first-sighting fingerprints
+  std::uint64_t memo_hits = 0;     ///< lookups answered without hashing
+  std::uint64_t memo_admitted = 0; ///< second sightings stored (counts across wipes)
+
   // Persistent-tier counters (serve/diskcache.h); all zero when the disk
   // tier is off. disk_enabled distinguishes "off" from "on but idle".
   bool disk_enabled = false;

@@ -117,6 +117,13 @@ std::string render_stats(const service_stats& s,
   j.member("evictions", s.cache_evictions);
   j.member("rejected_oversize", s.cache_rejected_oversize);
   j.end_object();
+  j.key("memo");
+  j.begin_object();
+  j.member("entries", s.memo_entries);
+  j.member("bytes", s.memo_bytes);
+  j.member("hits", s.memo_hits);
+  j.member("admitted", s.memo_admitted);
+  j.end_object();
   j.key("disk");
   j.begin_object();
   j.member("enabled", s.disk_enabled);

@@ -20,6 +20,7 @@
 #include <mutex>
 #include <regex>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -743,6 +744,50 @@ TEST(ServeDaemon, StatsReportsRamCacheResidencyInPackedBytes) {
   EXPECT_EQ(cache->find("evictions")->as_integer(0, 100), 0);
   EXPECT_EQ(cache->find("rejected_oversize")->as_integer(0, 100), 0);
   EXPECT_EQ(doc.find("v")->as_integer(0, 100), 1); // additive field, same wire version
+}
+
+TEST(ServeDaemon, StatsReportsTheSourceMemo) {
+  sv::service_options opt;
+  opt.jobs = 1;
+  sv::service svc(opt);
+  const auto memo_of = [&] {
+    const json_value doc = parse_json(sv::render_stats(svc.stats(), {}, {}));
+    EXPECT_EQ(doc.find("v")->as_integer(0, 100), 1);
+    const json_value* memo = doc.find("memo");
+    if (memo == nullptr) throw std::runtime_error("stats frame has no memo object");
+    return *memo;
+  };
+  const std::string line = R"({"bench":"ewf","alus":2,"muls":2})";
+  std::size_t ops = 0;
+  const auto ask = [&](int times) {
+    std::string text;
+    for (int i = 0; i < times; ++i) text += line + "\n";
+    std::istringstream in(text);
+    (void)sv::run_batch(in, svc, [&](const sv::response& r, std::string_view) {
+      EXPECT_TRUE(r.error.empty()) << r.error;
+      ops = r.result.ops;
+    });
+  };
+
+  // First sighting: only a fingerprint is kept.
+  ask(1);
+  json_value memo = memo_of();
+  EXPECT_EQ(memo.find("entries")->as_integer(0, 100), 0);
+  EXPECT_EQ(memo.find("admitted")->as_integer(0, 100), 0);
+  EXPECT_EQ(memo.find("hits")->as_integer(0, 100), 0);
+  const long long fingerprint_bytes = memo.find("bytes")->as_integer(0, 1 << 20);
+  EXPECT_GT(fingerprint_bytes, 0);
+
+  // Second sighting admits the design; the third hits it.
+  ask(2);
+  memo = memo_of();
+  EXPECT_EQ(memo.find("entries")->as_integer(0, 100), 1);
+  EXPECT_EQ(memo.find("admitted")->as_integer(0, 100), 1);
+  EXPECT_EQ(memo.find("hits")->as_integer(0, 100), 1);
+  // The entry holds at least its signature and one canonical index per op.
+  const std::size_t signature = sv::parse_request_line(line).source_signature().size();
+  EXPECT_GE(memo.find("bytes")->as_integer(0, 1 << 20),
+            fingerprint_bytes + static_cast<long long>(signature + ops * sizeof(std::uint32_t)));
 }
 
 TEST(ServeDaemon, ShutdownDrainsThenAcksAndStopsReading) {

@@ -2,11 +2,13 @@
 // (budget, eviction order, counters, concurrency), strict request parsing,
 // and the request pipeline behind --serve-batch (service + run_batch:
 // cache hits, design unification, determinism across worker counts and
-// cache sizes, error routing, JSONL round trip).
+// cache sizes, error routing, JSONL round trip), and the source memo's
+// second-sighting admission and bounds.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -593,4 +595,184 @@ TEST(ScheduleCache, OversizeReplacementKeepsResidentValue) {
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->latency, 7); // original survives
   EXPECT_EQ(cache.counters().rejected_oversize, 1u);
+}
+
+// -- source memo: admitted on a design's second sighting --------------------
+
+namespace {
+
+/// The response as serialized with its sequence-dependent fields zeroed:
+/// byte-identical strings mean byte-identical answers.
+std::string payload_bytes(sv::response r) {
+  r.line = 0;
+  r.ms = 0;
+  std::ostringstream out;
+  sv::write_response_line(out, r, /*emit_schedule=*/true);
+  return out.str();
+}
+
+} // namespace
+
+TEST(ServeEngine, ReusedSourceDesignSchedulesLikeARebuild) {
+  // The miss path schedules from the DFG its hash step built; it must
+  // answer exactly what a fresh build answers.
+  softsched::sched::run_context ctx(softsched::sched::arena_mode::off);
+  for (const std::string line : {
+           R"({"bench":"ewf","alus":2,"muls":2})",
+           R"({"random":200,"seed":3,"backend":"list"})",
+           R"({"dfg":"dfg t\nop a add\nop b mul a\nwire w 2 b\nop c add a w\n"})",
+           R"({"bench":"fir16","muls":3,"mul_latency":3,"backend":"sdc-iter"})",
+       }) {
+    const sv::request req = sv::parse_request_line(line);
+    std::optional<sv::source_design> built;
+    const sv::source_info info = sv::hash_request_source(req, built);
+    ASSERT_TRUE(info.error.empty()) << line << ": " << info.error;
+    ASSERT_TRUE(built.has_value()) << line;
+    const sv::source_info rebuilt = sv::hash_request_source(req);
+    EXPECT_EQ(info.digest, rebuilt.digest) << line;
+    EXPECT_EQ(info.canonical_of, rebuilt.canonical_of) << line;
+    const sv::schedule_result reused =
+        sv::compute_canonical_schedule(req, *built, info.canonical_of, ctx);
+    EXPECT_TRUE(reused.same_schedule(sv::compute_canonical_schedule(req, info.canonical_of)))
+        << line;
+  }
+  const sv::request bad = sv::parse_request_line(R"({"bench":"nope"})");
+  std::optional<sv::source_design> built;
+  EXPECT_FALSE(sv::hash_request_source(bad, built).error.empty());
+  EXPECT_FALSE(built.has_value());
+}
+
+TEST(ServeMemo, DesignsAskedForOnceAreNeverAdmitted) {
+  sv::service svc(serial_options());
+  std::vector<std::string> lines;
+  for (int seed = 1; seed <= 12; ++seed)
+    lines.push_back(R"({"random":60,"seed":)" + std::to_string(seed) + "}");
+  const auto responses = run_lines(svc, lines);
+  ASSERT_EQ(responses.size(), lines.size());
+  for (const sv::response& r : responses) EXPECT_TRUE(r.error.empty()) << r.error;
+  const sv::service_stats s = svc.stats();
+  EXPECT_EQ(s.memo_entries, 0u);
+  EXPECT_EQ(s.memo_admitted, 0u);
+  EXPECT_EQ(s.memo_hits, 0u);
+  EXPECT_GT(s.memo_bytes, 0u); // the fingerprints
+}
+
+TEST(ServeMemo, SecondSightingAdmitsThirdHitsAnswersStayIdentical) {
+  sv::service svc(serial_options());
+  const std::string line = R"({"id":"q","random":80,"seed":9,"alus":2})";
+  std::vector<std::string> answers;
+  const std::size_t expected_entries[] = {0, 1, 1};
+  const std::uint64_t expected_hits[] = {0, 0, 1};
+  for (int sighting = 0; sighting < 3; ++sighting) {
+    const auto responses = run_lines(svc, {line});
+    ASSERT_EQ(responses.size(), 1u);
+    ASSERT_TRUE(responses[0].error.empty()) << responses[0].error;
+    answers.push_back(payload_bytes(responses[0]));
+    const sv::service_stats s = svc.stats();
+    EXPECT_EQ(s.memo_entries, expected_entries[sighting]) << "sighting " << sighting + 1;
+    EXPECT_EQ(s.memo_admitted, expected_entries[sighting]) << "sighting " << sighting + 1;
+    EXPECT_EQ(s.memo_hits, expected_hits[sighting]) << "sighting " << sighting + 1;
+  }
+  EXPECT_EQ(answers[0], answers[1]);
+  EXPECT_EQ(answers[0], answers[2]);
+  EXPECT_EQ(svc.stats().computed, 1u);
+}
+
+TEST(ServeMemo, SameSourceUnderASecondAllocationIsAdmitted) {
+  sv::service svc(serial_options());
+  const auto responses = run_lines(svc, {
+                                            R"({"bench":"ewf","alus":1})",
+                                            R"({"bench":"ewf","alus":3})",
+                                        });
+  ASSERT_EQ(responses.size(), 2u);
+  EXPECT_NE(responses[0].key, responses[1].key);
+  const sv::service_stats s = svc.stats();
+  EXPECT_EQ(s.computed, 2u);
+  EXPECT_EQ(s.memo_entries, 1u);
+  EXPECT_EQ(s.memo_admitted, 1u);
+  EXPECT_EQ(s.memo_hits, 0u);
+}
+
+TEST(ServeMemo, ByteBoundWipesMemoAndFingerprintsTogether) {
+  sv::service_options opt = serial_options();
+  opt.cache_bytes = 0; // the byte bound falls back to memo_min_bytes
+  sv::service svc(opt);
+  // Three one-op designs whose signatures carry a ~memo_min_bytes/3
+  // comment each: admitted, they pass the byte bound together.
+  const std::string padding(sv::service::memo_min_bytes / 3 + 1024, 'x');
+  const auto big = [&](char tag) {
+    return std::string(R"({"dfg":"dfg t\nop a add\n# )") + tag + padding + R"("})";
+  };
+  const std::string small = R"({"bench":"hal"})";
+
+  (void)run_lines(svc, {small}); // first sighting: fingerprint only
+  for (const char tag : {'a', 'b', 'c'}) (void)run_lines(svc, {big(tag), big(tag)});
+  sv::service_stats s = svc.stats();
+  EXPECT_EQ(s.memo_entries, 3u);
+  EXPECT_EQ(s.memo_admitted, 3u);
+  EXPECT_GT(s.memo_bytes, sv::service::memo_min_bytes);
+
+  // The next miss wipes both: the small design's earlier fingerprint is
+  // gone, so this is a first sighting again and nothing is admitted.
+  (void)run_lines(svc, {small});
+  s = svc.stats();
+  EXPECT_EQ(s.memo_entries, 0u);
+  EXPECT_EQ(s.memo_admitted, 3u);
+  EXPECT_LT(s.memo_bytes, 1024u);
+
+  (void)run_lines(svc, {small});
+  s = svc.stats();
+  EXPECT_EQ(s.memo_entries, 1u);
+  EXPECT_EQ(s.memo_admitted, 4u);
+}
+
+TEST(ServeMemo, EntryBoundWipesMemoAndFingerprintsTogether) {
+  sv::service svc(serial_options());
+  const std::string probe = R"({"bench":"hal"})";
+  (void)run_lines(svc, {probe, probe}); // admitted
+  ASSERT_EQ(svc.stats().memo_entries, 1u);
+  // One fingerprint per distinct one-op design, past the entry bound.
+  std::string text;
+  for (std::size_t i = 0; i < sv::service::memo_entry_limit; ++i)
+    text += R"({"dfg":"dfg t\nop a add\n# )" + std::to_string(i) + "\"}\n";
+  std::istringstream in(text);
+  std::uint64_t errors = 0;
+  (void)sv::run_batch(in, svc, [&](const sv::response& r, std::string_view) {
+    errors += r.error.empty() ? 0 : 1;
+  });
+  EXPECT_EQ(errors, 0u);
+  EXPECT_EQ(svc.stats().memo_entries, 1u);
+
+  // The next miss wipes the memo with the fingerprints: the probe, once
+  // resident, is now hashed again and only fingerprinted.
+  (void)run_lines(svc, {R"({"bench":"ewf"})", probe});
+  const sv::service_stats s = svc.stats();
+  EXPECT_EQ(s.memo_entries, 0u);
+  EXPECT_EQ(s.memo_admitted, 1u);
+}
+
+TEST(ServeMemo, ConcurrentSightingsOfOneSourceAdmitItOnce) {
+  // Several workers race through first and second sightings of one source
+  // (allocations vary, so most requests are their own flight). Exactly one
+  // admission, and every answer matches a one-worker run.
+  std::vector<std::string> lines;
+  for (int i = 0; i < 48; ++i)
+    lines.push_back(R"({"random":150,"seed":4,"alus":)" + std::to_string(1 + i % 4) +
+                    R"(,"muls":)" + std::to_string(1 + i / 4 % 3) + "}");
+  sv::service reference(serial_options());
+  const auto expected = run_lines(reference, lines);
+
+  for (int round = 0; round < 4; ++round) {
+    sv::service_options opt;
+    opt.jobs = 4;
+    sv::service svc(opt);
+    const auto got = run_lines(svc, lines);
+    ASSERT_EQ(got.size(), expected.size());
+    for (std::size_t i = 0; i < got.size(); ++i)
+      EXPECT_EQ(payload_bytes(got[i]), payload_bytes(expected[i])) << "line " << i;
+    const sv::service_stats s = svc.stats();
+    EXPECT_EQ(s.memo_entries, 1u);
+    EXPECT_EQ(s.memo_admitted, 1u);
+    EXPECT_LE(s.memo_hits, lines.size() - 2);
+  }
 }
